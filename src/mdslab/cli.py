@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .gf import Field, FieldError, parse_field
@@ -373,14 +374,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SearchMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FieldError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _fail(e, 1)
+    except (FieldError, ValueError, OSError, BudgetExceededError) as e:
+        return _fail(e, 2)
+    except Exception as e:  # a bug, not a counterexample: never exit 1
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        return _fail(f"unexpected {type(e).__name__} at "
+                     f"{Path(where.filename).name}:{where.lineno}: {e}", 2)
+
+
+def _fail(message, status: int) -> int:
+    """One-line error on stderr; returns the exit status."""
+    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -1,22 +1,39 @@
 """Linear-code core: duals, distances, classification, GRS and Schur machinery.
 
-Minimum distance is exact brute force over the q^k message space (chunked,
-table-driven numpy), which is the honest oracle at desk scale; the cap
-ENUMERATION_CAP is enforced, not assumed.
+Minimum distance is exact, from one of two table-driven numpy methods, and
+independent of the family's criteria and of its closed-form parity check:
+
+- the rank scan: a nonzero codeword vanishes on a coordinate set Z exactly
+  when rank(G_Z) < k, so d = N - max{|Z| : rank(G_Z) < k}; every column
+  subset of size k, k+1, ... is ranked by one batched elimination until a
+  size has no rank-deficient subset.  Its cost follows C(N, s), not q^k.
+- projective enumeration of the (q^k - 1)/(q - 1) messages whose leading
+  nonzero digit is 1, for small q with long codes.
+
+The method is chosen by its work predicted from (q, N, k) alone, and
+ENUMERATION_CAP on that predicted work is enforced, not assumed.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gf import Field, FieldMismatchError
 from .linalg import Matrix, nullspace, power_matrix, require_distinct, rref
 
-ENUMERATION_CAP = 1 << 24
+# cap on the oracle's predicted table lookups: about 15 s at ~7 ns a lookup
+ENUMERATION_CAP = 1 << 31
+_CHUNK = 1 << 16      # rows per stacked block: messages or column subsets
+_CALL_COST = 2000     # lookups one numpy call costs in fixed overhead
+
+RANK_SCAN = "rank scan"
+PROJECTIVE_ENUMERATION = "projective enumeration"
 
 MDS = "MDS"
 NMDS = "NMDS"
@@ -34,7 +51,7 @@ class RankDeficientError(ValueError):
 
 
 class TooLargeToEnumerateError(ValueError):
-    """Brute-force enumeration would exceed ENUMERATION_CAP messages."""
+    """The cheaper distance method would exceed ENUMERATION_CAP lookups."""
 
 
 class LengthMismatchError(ValueError):
@@ -103,30 +120,128 @@ class LinearCode:
 
 
 def _min_weight(field: Field, G: np.ndarray) -> int:
-    """Minimum Hamming weight over all nonzero messages, chunked enumeration."""
+    """Minimum Hamming weight of the row space of G, by the cheaper exact method."""
     k, N = G.shape
-    q = field.q
-    total = q**k
-    if total > ENUMERATION_CAP:
+    method, work = _oracle_plan(field.q, N, k)
+    if work > ENUMERATION_CAP:
         raise TooLargeToEnumerateError(
-            f"message space {q}^{k} exceeds the enumeration cap 2^24")
-    add, mul = field.add_table, field.mul_table
-    radix = [q**r for r in range(k)]
+            f"{method} of a [{N},{k}] code over GF({field.q}) would take about "
+            f"{work:.2g} table lookups, which exceeds the cap of 2^"
+            f"{ENUMERATION_CAP.bit_length() - 1}")
+    if method == RANK_SCAN:
+        return _rank_scan_min_weight(field, G)
+    return _projective_min_weight(field, G)
+
+
+def _oracle_plan(q: int, N: int, k: int) -> tuple[str, int]:
+    """The cheaper exact method for an [N, k] code over GF(q), and its work.
+
+    Work is predicted table lookups, plus _CALL_COST for each numpy call the
+    method makes per block or elimination step.  The rank scan is charged for
+    every size below N, the worst case, which only distance-1 codes reach.
+    """
+    messages = (q**k - 1) // (q - 1)
+    enumeration = messages * N + (messages // _CHUNK + 1 + k) * _CALL_COST
+    scan = sum(math.comb(N, s) * s * k * k + k * _CALL_COST
+               for s in range(k, N))
+    if scan < enumeration:
+        return RANK_SCAN, scan
+    return PROJECTIVE_ENUMERATION, enumeration
+
+
+def _projective_min_weight(field: Field, G: np.ndarray) -> int:
+    """Enumerate the messages whose leading nonzero digit is 1.
+
+    Scaling a codeword keeps its weight, so these (q^k - 1)/(q - 1) messages
+    reach every weight: for each leading row, the words G[lead] + span of
+    the rows below it.
+    """
+    k, N = G.shape
     best = N
-    chunk = 1 << 16
-    for lo in range(1, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        words = np.zeros((hi - lo, N), dtype=np.int16)
-        for r in range(k):
-            digit = (idx // radix[r]) % q
-            words = add[words, mul[digit[:, None], G[r][None, :]]]
-        w = int(np.count_nonzero(words, axis=1).min())
-        if w < best:
-            best = w
+    for lead in range(k):
+        for words in _coset_blocks(field, G[lead], G[lead + 1:]):
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
             if best == 1:
-                break
+                return best
     return best
+
+
+def _coset_blocks(field: Field, shift: np.ndarray,
+                  rows: np.ndarray) -> Iterator[np.ndarray]:
+    """shift + span(rows), in blocks of at most _CHUNK words.
+
+    The span of the trailing rows that fits in one block is built once; the
+    leading rows are walked, recursively, as offsets added to that block.
+    """
+    add = field.add_table
+    inner = len(rows)
+    while field.q ** inner > _CHUNK:
+        inner -= 1
+    split = len(rows) - inner
+    block = _span(field, rows[split:])
+    if split == 0:
+        yield add[block, shift[None, :]]
+        return
+    for offsets in _coset_blocks(field, shift, rows[:split]):
+        for offset in offsets:
+            yield add[block, offset[None, :]]
+
+
+def _span(field: Field, rows: np.ndarray) -> np.ndarray:
+    """All q^len(rows) linear combinations of rows, one per row of the result."""
+    add, mul = field.add_table, field.mul_table
+    N = rows.shape[1]
+    scalars = np.arange(field.q, dtype=np.int16)[:, None, None]
+    words = np.zeros((1, N), dtype=np.int16)
+    for row in rows:
+        words = add[mul[scalars, row[None, None, :]], words[None, :, :]]
+        words = words.reshape(-1, N)
+    return words
+
+
+def _rank_scan_min_weight(field: Field, G: np.ndarray) -> int:
+    """d = N - max{|Z| : rank(G_Z) < k}, scanning |Z| = k, k+1, ... upwards.
+
+    A nonzero codeword vanishes on Z exactly when the columns G_Z have rank
+    below k, and rank deficiency is inherited by subsets, so the first size
+    with no deficient column set is one past the largest zero set.
+    """
+    k, N = G.shape
+    columns = np.ascontiguousarray(G.T)
+    for s in range(k, N):
+        if not _some_rank_deficient(field, columns, s):
+            return N - s + 1
+    return 1  # all N columns together have rank k
+
+
+def _some_rank_deficient(field: Field, columns: np.ndarray, s: int) -> bool:
+    """Whether some s of the given length-k vectors span less than GF(q)^k.
+
+    Each block stacks up to _CHUNK column subsets as a (subsets, s, k) array
+    and runs one forward elimination over the whole stack.  A pivot row is
+    cleared by its own elimination step, so it is never chosen again.
+    """
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    N, k = columns.shape
+    combos = itertools.combinations(range(N), s)
+    chunk = min(_CHUNK, (_CHUNK << 4) // (s * k))  # at most 2^20 entries
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, chunk)), dtype=np.intp)
+        if flat.size == 0:
+            return False
+        a = columns[flat.reshape(-1, s)]
+        at = np.arange(a.shape[0])
+        for j in range(k):
+            col = a[:, :, j]
+            nonzero = col != 0
+            if not nonzero.any(axis=1).all():
+                return True
+            p = nonzero.argmax(axis=1)
+            factors = mul[col, inv[col[at, p]][:, None]]
+            pivot = a[at, p, j + 1:]
+            a[:, :, j + 1:] = sub[a[:, :, j + 1:],
+                                  mul[factors[:, :, None], pivot[:, None, :]]]
 
 
 def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:
@@ -251,9 +366,7 @@ def grs_consistency_test(code: LinearCode) -> GrsReport:
         return GrsReport(verdict, "SquareDimension", dim2)
     kd = N - k
     if 3 <= kd and 2 * kd < N + 1:
-        sq = schur_square(code.dual)
-        # the full space contains weight-1 words; skip the enumeration
-        d2 = 1 if sq.dimension == sq.length else sq.min_distance
+        d2 = schur_square(code.dual).min_distance
         verdict = NON_GRS if d2 < 2 else CONSISTENT_WITH_GRS
         return GrsReport(verdict, "DualSquareDistance", d2)
     return GrsReport(INCONCLUSIVE, "NotApplicable", None)

@@ -88,32 +88,36 @@ class EvalConfig:
         def fail(key: str, why: str):
             raise ValueError(f"config field {key!r}: {why}")
 
+        def elements(key: str, values) -> tuple[int, ...]:
+            if not isinstance(values, (list, tuple)):
+                fail(key, f"expected a list of field elements, got {values!r}")
+            return tuple(element(key, x) for x in values)
+
+        def element(key: str, value) -> int:
+            if isinstance(value, bool):
+                fail(key, f"expected a field element, got {value!r}")
+            try:
+                return field.parse_element(value)
+            except (TypeError, ValueError) as e:
+                fail(key, str(e))
+
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"config must be a JSON object, got {obj!r}")
         for key in ("field", "A", "k", "delta"):
             if key not in obj:
                 fail(key, "missing")
+        if not isinstance(obj["field"], str):
+            fail("field", f"expected a field spec string, got {obj['field']!r}")
         try:
             field = parse_field(obj["field"])
         except ValueError as e:
             fail("field", str(e))
-        try:
-            alphas = tuple(field.parse_element(a) for a in obj["A"])
-        except ValueError as e:
-            fail("A", str(e))
+        alphas = elements("A", obj["A"])
         vspec = obj.get("v", "ones")
-        if vspec == "ones":
-            v = (1,) * len(alphas)
-        else:
-            try:
-                v = tuple(field.parse_element(x) for x in vspec)
-            except ValueError as e:
-                fail("v", str(e))
-        if not isinstance(obj["k"], int):
+        v = (1,) * len(alphas) if vspec == "ones" else elements("v", vspec)
+        if isinstance(obj["k"], bool) or not isinstance(obj["k"], int):
             fail("k", f"expected an integer, got {obj['k']!r}")
-        try:
-            delta = field.parse_element(obj["delta"])
-        except ValueError as e:
-            fail("delta", str(e))
-        return cls(field, alphas, v, obj["k"], delta)
+        return cls(field, alphas, v, obj["k"], element("delta", obj["delta"]))
 
     def to_json(self) -> dict:
         v = "ones" if all(x == 1 for x in self.v) else list(self.v)

@@ -3,10 +3,10 @@
 A search walks (A, k, delta) triples in a fixed canonical order: node sets
 lexicographic by element index, then k ascending, then delta ascending.  Every
 visited config is classified twice, once through the subset-sum criteria and
-once by brute force, and any disagreement aborts the whole run; a completed
-search doubles as an oracle cross-check over everything it visited.  Records
-matching the class filter are returned in visit order, so equal inputs give
-byte-identical output regardless of worker count.
+once by the distance oracle, and any disagreement aborts the whole run; a
+completed search doubles as an oracle cross-check over everything it visited.
+Records matching the class filter are returned in visit order, so equal inputs
+give byte-identical output regardless of worker count.
 """
 
 from __future__ import annotations

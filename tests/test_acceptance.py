@@ -10,11 +10,23 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from mdslab.cli import main
-from mdslab.codes import MDS, NON_GRS, classify, grs_code, schur_square
+from mdslab.codes import (
+    MDS,
+    NON_GRS,
+    _projective_min_weight,
+    _rank_scan_min_weight,
+    classify,
+    grs_code,
+    schur_square,
+)
 from mdslab.construction import EvalConfig, family_code, non_grs_certificate
 from mdslab.gf import Field
 from mdslab.verify import (
+    QUICK_FIELD_ORDERS,
+    QUICK_MAX_N,
     check_amds,
     check_det,
     check_dual_amds,
@@ -24,6 +36,7 @@ from mdslab.verify import (
     check_parity,
     check_powersum,
     check_schur,
+    sweep_configs,
     sweep_size,
 )
 
@@ -38,6 +51,8 @@ SWEEP_MAX_N = 6
 # sum over q in {4,5,7}, n in 3..6, k in 3..min(n,5) of C(q,n)*q:
 # 24 + 115 + 1323
 SWEEP_CONFIG_COUNT = 1462
+# the verify --quick sweep: q in {4,5,7}, n in 3..5
+QUICK_SWEEP_CONFIG_COUNT = 1315
 
 
 def elapsed_under(t0: float, budget: float) -> bool:
@@ -163,6 +178,41 @@ def test_criterion_09_schur_square_invariants():
     assert result.passed, result.counterexample
     assert result.checked == 60
     assert elapsed_under(t0, 60.0)
+
+
+# ---------------------------------------------------------------------------
+# the distance oracle against plain enumeration
+# ---------------------------------------------------------------------------
+
+def plain_min_weight(field: Field, G: np.ndarray) -> int:
+    """Third oracle: chunked enumeration of all q^k messages."""
+    k, N = G.shape
+    q = field.q
+    add, mul = field.add_table, field.mul_table
+    best = N
+    chunk = 1 << 16
+    for lo in range(1, q**k, chunk):
+        idx = np.arange(lo, min(lo + chunk, q**k), dtype=np.int64)
+        words = np.zeros((idx.size, N), dtype=np.int16)
+        for r in range(k):
+            digit = (idx // q**r) % q
+            words = add[words, mul[digit[:, None], G[r][None, :]]]
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
+
+
+def test_criterion_11_distance_oracles_agree():
+    """Rank scan, projective and plain enumeration agree on d and d-dual."""
+    fields = tuple(Field.from_order(q) for q in QUICK_FIELD_ORDERS)
+    checked = 0
+    for cfg in sweep_configs(fields, QUICK_MAX_N):
+        code = family_code(cfg)
+        for G in (code.generator.a, code.dual.generator.a):
+            d = plain_min_weight(cfg.field, G)
+            assert _rank_scan_min_weight(cfg.field, G) == d, cfg.to_json()
+            assert _projective_min_weight(cfg.field, G) == d, cfg.to_json()
+        checked += 1
+    assert checked == QUICK_SWEEP_CONFIG_COUNT
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,32 @@ def test_construct_from_config_file(capsys, tmp_path):
     assert (code, out) == (0, "1,1,1,0,0;0,1,g,0,1;0,1,1,1,g\n")
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"A": 5}, "'A'"),
+    ({"A": "0,1,g"}, "'A'"),
+    ({"k": True}, "'k'"),
+    ({"delta": True}, "'delta'"),
+])
+def test_config_file_type_errors_exit_2(capsys, tmp_path, bad, field):
+    obj = {"field": "gf(4)", "A": [0, 1, "g"], "k": 3, "delta": "g"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**obj, **bad}))
+    code, out, err = run_cli(capsys, ["classify", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config field " + field)
+    assert err.count("\n") == 1
+
+
+def test_unexpected_exception_is_one_line_exit_2(capsys, monkeypatch):
+    def broken(job):
+        raise RuntimeError("multi\nline")
+    monkeypatch.setattr("mdslab.cli.run_search", broken)
+    code, out, err = run_cli(capsys, ["search", "--field", "gf(5)", "--n", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unexpected RuntimeError at test_cli.py:")
+    assert err.endswith(": multi line\n")
+
+
 # ---------------------------------------------------------------------------
 # cli: classify and schur
 # ---------------------------------------------------------------------------
@@ -254,6 +280,15 @@ def test_classify_g3_config_is_nmds(capsys):
         "classify", "--field", "gf(7)", "--matrix", out.strip()])
     assert code == 0
     assert "class: NMDS" in out2
+
+
+def test_classify_past_message_enumeration(capsys):
+    # the [10, 7] dual has 16^7 messages; the rank scan needs C(10, 7)
+    code, out, _ = run_cli(capsys, [
+        "classify", "--field", "gf(16)", "--points", "0,1,2,3,4,5,6,7",
+        "--k", "3", "--delta", "1"])
+    assert code == 0
+    assert "class: NMDS\ncriteria_class: NMDS" in out
 
 
 def test_schur_text_and_json(capsys):

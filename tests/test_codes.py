@@ -11,6 +11,9 @@ from mdslab.gf import Field
 from mdslab.linalg import Matrix, power_matrix, rank
 from mdslab.codes import (
     AMDS_ONLY_DUAL,
+    ENUMERATION_CAP,
+    PROJECTIVE_ENUMERATION,
+    RANK_SCAN,
     BadDimensionError,
     Classification,
     CONSISTENT_WITH_GRS,
@@ -24,6 +27,9 @@ from mdslab.codes import (
     TooLargeToEnumerateError,
     ZeroExtensionVectorError,
     ZeroScaleError,
+    _oracle_plan,
+    _projective_min_weight,
+    _rank_scan_min_weight,
     classification_json,
     classify,
     codes_equal,
@@ -123,11 +129,45 @@ def test_min_distance_matches_naive_oracle():
             assert code.min_distance == naive_min_distance(code)
 
 
+def test_both_distance_methods_match_naive_oracle():
+    rng = np.random.default_rng(43)
+    for q in (2, 3, 4, 7, 8):
+        f = Field.from_order(q)
+        for _ in range(8):
+            k = int(rng.integers(1, 4))
+            N = int(rng.integers(k, k + 5))
+            a = rng.integers(0, q, size=(k, N))
+            a[:, int(rng.integers(0, N))] *= int(rng.integers(0, 2))
+            try:
+                code = LinearCode.from_rows(f, a)
+            except RankDeficientError:
+                continue
+            d = naive_min_distance(code)
+            assert _rank_scan_min_weight(f, code.generator.a) == d
+            assert _projective_min_weight(f, code.generator.a) == d
+
+
 def test_min_distance_cap():
+    # 64^5 messages are past plain enumeration; the rank scan reaches them
     f = Field.from_order(64)
     code = LinearCode(power_matrix(f, list(range(10)), range(5)))
-    with pytest.raises(TooLargeToEnumerateError):
+    assert code.min_distance == 6
+    # C(40, 20) column subsets and 1024^19 messages are both past the cap
+    big = Field.from_order(1024)
+    code = LinearCode(power_matrix(big, list(range(40)), range(20)))
+    with pytest.raises(TooLargeToEnumerateError, match="rank scan"):
         code.min_distance
+
+
+def test_oracle_cost_rule():
+    # a binary [20, 5] code has 31 projective messages against C(20, 5)+ subsets
+    assert _oracle_plan(2, 20, 5)[0] == PROJECTIVE_ENUMERATION
+    # reach members of the family and their duals: [14, 4] / [14, 10] over
+    # gf(64) and [12, 5] / [12, 7] over gf(256)
+    for q, N, k in ((64, 14, 4), (64, 14, 10), (256, 12, 5), (256, 12, 7)):
+        method, work = _oracle_plan(q, N, k)
+        assert method == RANK_SCAN
+        assert work <= ENUMERATION_CAP
 
 
 def test_dual_and_orthogonality():

@@ -427,6 +427,20 @@ def test_criteria_against_brute_force_sampled_wide():
             assert criteria_class(cfg) == cls.kind, cfg
 
 
+def test_criteria_against_distance_oracle_past_enumeration():
+    """Members whose dual has 64^10 or 256^7 messages are still classified."""
+    gf64, gf256 = Field.from_order(64), Field.from_order(256)
+    members = [
+        (EvalConfig.ones(gf64, (4, 8, 23, 30, 34, 37, 38, 40, 57, 58, 62, 63),
+                         4, 60), AMDS_ONLY_DUAL),
+        (EvalConfig.ones(gf256, (48, 71, 96, 121, 137, 155, 182, 223, 237, 239),
+                         5, 41), MDS),
+    ]
+    for cfg, kind in members:
+        assert criteria_class(cfg) == kind
+        assert classify(family_code(cfg)).kind == kind
+
+
 def test_amds_and_nmds_criteria_coincide():
     for cfg in all_small_configs(GF4, (3, 4)):
         a, nm = amds_criterion(cfg), nmds_criterion(cfg)
