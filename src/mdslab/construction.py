@@ -9,6 +9,15 @@ and those predicates, with witness extraction, live here next to the builders.
 Subset conventions: subsets are tuples of 0-based indices into the node list,
 enumerated in lexicographic order, so every witness is deterministic.  The
 quantity compared against delta for a subset S is (sum S)^2 - e2(S).
+
+The criteria run as one vectorized pass per config.  The size-t subset sums
+and delta quantities of a node set are int16 arrays in lex order, built by
+table lookups over an index array of combinations and kept in two bounded
+caches (1024 node-set entries each).  A "faces" table lists, for each size-t
+subset, the lex ranks of its size-(t-1) subsets, so a universal clause is one
+.all(axis=1) over it.  The four criteria and criteria_class are views of the
+one scan that yields every clause's first witness.  The index and faces
+tables depend only on (n, t) and sit in their own small caches.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -312,29 +321,68 @@ class CriterionReport:
 
 ZERO_SUM_CLAUSE = "zero_sum_k"
 DELTA_CLAUSE = "delta_match_k_minus_1"
+U1_CLAUSE = "all_k_subsets_sum_zero"
+U2_CLAUSE = "all_k_minus_1_subsets_match_delta"
 
 
-@lru_cache(maxsize=65536)
-def _subset_sums(field: Field, alphas: tuple[int, ...], t: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All (index tuple, subset sum) pairs for size-t subsets, lex order."""
-    out = []
-    for idxs in itertools.combinations(range(len(alphas)), t):
-        s = 0
-        for i in idxs:
-            s = field.add(s, alphas[i])
-        out.append((idxs, s))
-    return tuple(out)
+@lru_cache(maxsize=64)
+def _combinations(n: int, t: int) -> np.ndarray:
+    """(C(n, t), t) index array of the size-t subsets of range(n), lex order."""
+    rows = np.array(list(itertools.combinations(range(n), t)), dtype=np.intp)
+    rows = rows.reshape(-1, t)
+    rows.flags.writeable = False
+    return rows
 
 
-@lru_cache(maxsize=65536)
-def _subset_delta_values(field: Field, alphas: tuple[int, ...], t: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All (index tuple, e1^2 - e2) pairs for size-t subsets, lex order."""
-    out = []
-    for idxs, s in _subset_sums(field, alphas, t):
-        vals = [alphas[i] for i in idxs]
-        e2 = second_elementary_symmetric(field, vals)
-        out.append((idxs, field.sub(field.mul(s, s), e2)))
-    return tuple(out)
+@lru_cache(maxsize=64)
+def _faces(n: int, t: int) -> np.ndarray:
+    """(C(n, t), t) lex ranks of the size-(t-1) subsets of each size-t subset."""
+    rank = {c: i for i, c in enumerate(itertools.combinations(range(n), t - 1))}
+    faces = np.array([[rank[f] for f in itertools.combinations(c, t - 1)]
+                      for c in itertools.combinations(range(n), t)],
+                     dtype=np.intp).reshape(-1, t)
+    faces.flags.writeable = False
+    return faces
+
+
+def _subset_values(alphas: tuple[int, ...], t: int) -> np.ndarray:
+    """(C(n, t), t) node values of the size-t subsets, lex order."""
+    return np.asarray(alphas, dtype=np.intp)[_combinations(len(alphas), t)]
+
+
+@lru_cache(maxsize=1024)
+def _subset_sums(field: Field, alphas: tuple[int, ...], t: int) -> np.ndarray:
+    """Sums of the size-t subsets of the nodes as one int16 array, lex order."""
+    add = field.add_table
+    vals = _subset_values(alphas, t)
+    out = np.zeros(len(vals), dtype=np.int16)
+    for x in vals.T:
+        out = add[out, x]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _subset_delta_values(field: Field, alphas: tuple[int, ...], t: int) -> np.ndarray:
+    """e1^2 - e2 = sum over i <= j of a_i a_j for each size-t subset, lex order.
+
+    Adding a node x to a subset S adds x * e1(S + x) to the quantity, so one
+    pass over the subset's columns builds e1 and the quantity together.
+    """
+    add, mul = field.add_table, field.mul_table
+    vals = _subset_values(alphas, t)
+    e1 = h2 = np.zeros(len(vals), dtype=np.int16)
+    for x in vals.T:
+        e1 = add[e1, x]
+        h2 = add[h2, mul[x, e1]]
+    h2.flags.writeable = False
+    return h2
+
+
+def _first_row(mask: np.ndarray, rows: np.ndarray) -> tuple[int, ...] | None:
+    """The first row of rows where mask is set, as a tuple; None if none is."""
+    i = int(mask.argmax())
+    return tuple(rows[i].tolist()) if mask[i] else None
 
 
 def avoids_subset_sum(field: Field, alphas: Sequence[int], t: int, delta: int) -> CriterionReport:
@@ -342,9 +390,10 @@ def avoids_subset_sum(field: Field, alphas: Sequence[int], t: int, delta: int) -
     pts = require_distinct(alphas)
     if not 1 <= t <= len(pts):
         raise ValueError(f"subset size {t} outside [1, {len(pts)}]")
-    for idxs, s in _subset_sums(field, pts, t):
-        if s == delta:
-            return CriterionReport("avoids_subset_sum", False, idxs, "subset_sum")
+    hit = _first_row(_subset_sums(field, pts, t) == delta,
+                     _combinations(len(pts), t))
+    if hit is not None:
+        return CriterionReport("avoids_subset_sum", False, hit, "subset_sum")
     return CriterionReport("avoids_subset_sum", True)
 
 
@@ -363,73 +412,88 @@ def contains_zero_sum(field: Field, alphas: Sequence[int], t: int) -> CriterionR
 # the four classification criteria
 # ---------------------------------------------------------------------------
 
+class _Scan(NamedTuple):
+    """Lexicographically first witness of each subset-sum clause; None: none.
+
+    zero_sum: a size-k subset summing to 0 (E1).
+    delta_match: a size-(k-1) subset whose e1^2 - e2 equals delta (E2).
+    u1_failure: a size-(k+1) subset all of whose size-k subsets sum to 0.
+      Distinct nodes never give one (S - a_i = 0 for every i would make
+      all a_i equal to S), but the clause is checked as stated.
+    u2_failure: a size-k subset all of whose size-(k-1) subsets match delta.
+    """
+
+    zero_sum: tuple[int, ...] | None
+    delta_match: tuple[int, ...] | None
+    u1_failure: tuple[int, ...] | None
+    u2_failure: tuple[int, ...] | None
+
+    def dual_amds(self) -> tuple[bool, tuple[int, ...] | None, str | None]:
+        """E1 or E2, with the first witness (zero-sum family first)."""
+        if self.zero_sum is not None:
+            return True, self.zero_sum, ZERO_SUM_CLAUSE
+        if self.delta_match is not None:
+            return True, self.delta_match, DELTA_CLAUSE
+        return False, None, None
+
+    def amds(self) -> tuple[bool, tuple[int, ...] | None, str | None]:
+        """U1 and U2 and (E1 or E2); a failed universal is reported first."""
+        if self.u1_failure is not None:
+            return False, self.u1_failure, U1_CLAUSE
+        if self.u2_failure is not None:
+            return False, self.u2_failure, U2_CLAUSE
+        return self.dual_amds()
+
+
+def _scan(cfg: EvalConfig) -> _Scan:
+    """One vectorized pass over the subset tables of cfg's node set.
+
+    U1 (every size-(k+1) subset has a size-k subset with nonzero sum) fails
+    on a row of the faces table whose entries all index zero sums; U2 (every
+    size-k subset has a size-(k-1) subset not matching delta) likewise on
+    delta matches.  Universals over empty families (k+1 > n) hold vacuously,
+    and a universal cannot fail without a single zero sum or match.
+    """
+    f, pts, k, n = cfg.field, cfg.alphas, cfg.k, cfg.n
+    zero = _subset_sums(f, pts, k) == 0
+    match = _subset_delta_values(f, pts, k - 1) == cfg.delta
+    zero_sum = _first_row(zero, _combinations(n, k))
+    delta_match = _first_row(match, _combinations(n, k - 1))
+    u1 = u2 = None
+    if zero_sum is not None and k + 1 <= n:
+        u1 = _first_row(zero[_faces(n, k + 1)].all(axis=1),
+                        _combinations(n, k + 1))
+    if delta_match is not None:
+        u2 = _first_row(match[_faces(n, k)].all(axis=1), _combinations(n, k))
+    return _Scan(zero_sum, delta_match, u1, u2)
+
+
 def mds_criterion(cfg: EvalConfig) -> CriterionReport:
     """MDS iff no size-k subset sums to 0 and no size-(k-1) subset matches delta.
 
     Clause one is scanned before clause two; the witness of a failure is the
     lexicographically first violating subset of the violating clause.
     """
-    f, pts, k = cfg.field, cfg.alphas, cfg.k
-    for idxs, s in _subset_sums(f, pts, k):
-        if s == 0:
-            return CriterionReport("mds", False, idxs, ZERO_SUM_CLAUSE)
-    for idxs, qv in _subset_delta_values(f, pts, k - 1):
-        if qv == cfg.delta:
-            return CriterionReport("mds", False, idxs, DELTA_CLAUSE)
-    return CriterionReport("mds", True)
+    holds, witness, clause = _scan(cfg).dual_amds()
+    return CriterionReport("mds", not holds, witness, clause)
 
 
 def dual_amds_criterion(cfg: EvalConfig) -> CriterionReport:
     """Dual is AMDS iff some size-k subset sums to 0 or some size-(k-1) subset
     matches delta; the witness is the first satisfying subset (zero-sum family
     scanned first)."""
-    f, pts, k = cfg.field, cfg.alphas, cfg.k
-    for idxs, s in _subset_sums(f, pts, k):
-        if s == 0:
-            return CriterionReport("dual_amds", True, idxs, ZERO_SUM_CLAUSE)
-    for idxs, qv in _subset_delta_values(f, pts, k - 1):
-        if qv == cfg.delta:
-            return CriterionReport("dual_amds", True, idxs, DELTA_CLAUSE)
-    return CriterionReport("dual_amds", False)
-
-
-def _amds_nmds_shared(cfg: EvalConfig) -> CriterionReport:
-    """Shared body of the AMDS and NMDS criteria: U1 and U2 and (E1 or E2).
-
-    U1: every size-(k+1) subset has a size-k subset with nonzero sum.
-    U2: every size-k subset has a size-(k-1) subset not matching delta.
-    E1/E2: as in the dual criterion.  Universals over empty families (k+1 > n)
-    are vacuously true.  The amds and nmds conditions reduce to the same
-    clauses for this family, which is why the two public criteria coincide.
-    """
-    f, pts, k = cfg.field, cfg.alphas, cfg.k
-    n = len(pts)
-    sums_k = dict(_subset_sums(f, pts, k))
-    if k + 1 <= n:
-        for big in itertools.combinations(range(n), k + 1):
-            if all(sums_k[j] == 0 for j in itertools.combinations(big, k)):
-                return CriterionReport("", False, big, "all_k_subsets_sum_zero")
-    qvals = dict(_subset_delta_values(f, pts, k - 1))
-    for big in itertools.combinations(range(n), k):
-        if all(qvals[j] == cfg.delta for j in itertools.combinations(big, k - 1)):
-            return CriterionReport("", False, big, "all_k_minus_1_subsets_match_delta")
-    for idxs, s in _subset_sums(f, pts, k):
-        if s == 0:
-            return CriterionReport("", True, idxs, ZERO_SUM_CLAUSE)
-    for idxs, qv in _subset_delta_values(f, pts, k - 1):
-        if qv == cfg.delta:
-            return CriterionReport("", True, idxs, DELTA_CLAUSE)
-    return CriterionReport("", False)
+    return CriterionReport("dual_amds", *_scan(cfg).dual_amds())
 
 
 def amds_criterion(cfg: EvalConfig) -> CriterionReport:
-    rep = _amds_nmds_shared(cfg)
-    return CriterionReport("amds", rep.holds, rep.witness, rep.clause)
+    """U1 and U2 and (E1 or E2); see _Scan.  The amds and nmds conditions
+    reduce to the same clauses for this family, so the two criteria coincide."""
+    return CriterionReport("amds", *_scan(cfg).amds())
 
 
 def nmds_criterion(cfg: EvalConfig) -> CriterionReport:
-    rep = _amds_nmds_shared(cfg)
-    return CriterionReport("nmds", rep.holds, rep.witness, rep.clause)
+    """The same clauses as amds_criterion, reported under the name nmds."""
+    return CriterionReport("nmds", *_scan(cfg).amds())
 
 
 def criteria_class(cfg: EvalConfig) -> str:
@@ -437,13 +501,16 @@ def criteria_class(cfg: EvalConfig) -> str:
 
     mds/amds/dual_amds decide the Singleton defects of code and dual without
     building anything, so this is the subset-sum route to the same label
-    classify(family_code(cfg)) computes by enumeration.
+    classify(family_code(cfg)) computes by enumeration.  One scan serves all
+    three verdicts.
     """
-    if mds_criterion(cfg).holds:
+    scan = _scan(cfg)
+    dual_amds, amds = scan.dual_amds()[0], scan.amds()[0]
+    if not dual_amds:               # the mds criterion holds
         return MDS
-    if amds_criterion(cfg).holds:
-        return NMDS if dual_amds_criterion(cfg).holds else AMDS_ONLY_PRIMAL
-    return AMDS_ONLY_DUAL if dual_amds_criterion(cfg).holds else OTHER
+    if amds:
+        return NMDS if dual_amds else AMDS_ONLY_PRIMAL
+    return AMDS_ONLY_DUAL if dual_amds else OTHER
 
 
 def non_grs_certificate(cfg: EvalConfig) -> GrsReport:

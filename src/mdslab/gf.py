@@ -91,6 +91,14 @@ def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
+def _monic_modulus(p: int, m: int, modulus: Sequence[int]) -> tuple[int, ...]:
+    """modulus reduced mod p; raises unless it is monic of degree m."""
+    modulus = tuple(int(c) % p for c in modulus)
+    if len(modulus) != m + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {m}, got {modulus}")
+    return modulus
+
+
 @functools.lru_cache(maxsize=None)
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m, by ascending digit index.
@@ -117,7 +125,8 @@ class Field:
 
     Attributes:
         p, m, q: characteristic, extension degree, order.
-        modulus: monic degree-m polynomial, ascending coefficients.
+        modulus: monic degree-m polynomial, ascending coefficients; (0, 1)
+            whenever m = 1, as every x + c gives GF(p) the same arithmetic.
         add_table, sub_table, mul_table: (q, q) int16 arrays.
         inv_table: (q,) int16 array; entry 0 is a dummy, never index it at 0.
         exp, log: discrete exp/log w.r.t. the smallest primitive element.
@@ -134,11 +143,12 @@ class Field:
         if modulus is None:
             modulus = default_modulus(p, m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}, got {modulus}")
+            modulus = _monic_modulus(p, m, modulus)
             if m > 1 and not _poly_is_irreducible(modulus, p):
                 raise ReducibleModulusError(f"modulus {modulus} is reducible over GF({p})")
+            if m == 1:
+                # every x + c gives GF(p) the same residues and tables
+                modulus = default_modulus(p, 1)
         self.p = p
         self.m = m
         self.q = q
@@ -373,6 +383,9 @@ class Field:
     @staticmethod
     def from_order(q: int, modulus: Sequence[int] | None = None) -> "Field":
         p, m = _factor_prime_power(q)
+        if modulus is not None and m == 1:
+            _monic_modulus(p, 1, modulus)     # then drop it: see __init__
+            modulus = None
         key = (p, m, tuple(modulus) if modulus is not None else None)
         f = _FIELD_CACHE.get(key)
         if f is None:

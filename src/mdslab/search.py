@@ -15,7 +15,9 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import random
+import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterable, Iterator
@@ -120,6 +122,10 @@ class SearchJob:
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 
+    def workers(self) -> int:
+        """Worker processes for the sweep: jobs, capped at the core count."""
+        return min(self.jobs, os.cpu_count() or 1)
+
     def delta_list(self) -> tuple[int, ...]:
         if self.deltas is not None:
             return self.deltas
@@ -155,6 +161,15 @@ def unrank_combination(pool: int, size: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _draw_rejecting_repeats(rng: random.Random, total: int, size: int) -> list[int]:
+    """random.sample's draw for a population above its set-size threshold:
+    randrange(total) until size distinct values have come up, in draw order."""
+    chosen: dict[int, None] = {}          # insertion-ordered set
+    while len(chosen) < size:
+        chosen.setdefault(rng.randrange(total))
+    return list(chosen)
+
+
 def _point_sets(job: SearchJob) -> Iterator[tuple[int, ...]]:
     if job.subsets is not None:
         yield from job.subsets
@@ -163,7 +178,11 @@ def _point_sets(job: SearchJob) -> Iterator[tuple[int, ...]]:
     total = math.comb(q, n)
     if job.sample is not None and job.sample < total:
         rng = random.Random(job.seed)
-        for r in sorted(rng.sample(range(total), job.sample)):
+        if total <= sys.maxsize:
+            ranks = rng.sample(range(total), job.sample)
+        else:                   # range() has no len() past sys.maxsize
+            ranks = _draw_rejecting_repeats(rng, total, job.sample)
+        for r in sorted(ranks):
             yield unrank_combination(q, n, r)
         return
     yield from itertools.combinations(range(q), n)
@@ -231,7 +250,8 @@ class SearchRecord:
 
 def evaluate_config(cfg: EvalConfig) -> SearchRecord:
     """Classify one config both ways; raise on any disagreement."""
-    cls = classify(family_code(cfg))
+    code = family_code(cfg)     # classify and the Schur screen share code.dual
+    cls = classify(code)
     m = mds_criterion(cfg)
     a = amds_criterion(cfg)
     da = dual_amds_criterion(cfg)
@@ -246,8 +266,7 @@ def evaluate_config(cfg: EvalConfig) -> SearchRecord:
         if predicted != actual:
             raise SearchMismatchError(
                 cfg, f"{name} criterion says {predicted}, code says {actual}")
-    return SearchRecord(cfg, cls, grs_consistency_test(family_code(cfg)),
-                        m, a, da, nm)
+    return SearchRecord(cfg, cls, grs_consistency_test(code), m, a, da, nm)
 
 
 def run_search(job: SearchJob) -> list[SearchRecord]:
@@ -255,8 +274,9 @@ def run_search(job: SearchJob) -> list[SearchRecord]:
     if needed > job.budget:
         raise BudgetExceededError(needed, job.budget)
     configs = iter_configs(job)
-    if job.jobs > 1:
-        with multiprocessing.Pool(job.jobs) as pool:
+    workers = job.workers()
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             # imap keeps input order, so parallel runs emit identical bytes
             records = list(pool.imap(evaluate_config, configs, chunksize=8))
     else:

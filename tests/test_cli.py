@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import random
+from pathlib import Path
 
 import pytest
 
 from mdslab.gf import Field
 from mdslab.cli import main
+from mdslab import search
 from mdslab.search import (
     BudgetExceededError,
     SearchJob,
@@ -19,6 +25,12 @@ from mdslab.search import (
     run_search,
     unrank_combination,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
+# sha256 of `search --field gf(7) --n 4 --k all --format json`, recorded from
+# the loop-based criteria before they were vectorized
+GOLDEN_GF7_N4_JSON_SHA256 = (
+    "fef1e16cc4805c89daf3c79e337fa12d443ab5270c35925cc6e474b2845764d8")
 
 GF4 = Field.from_order(4)
 GF5 = Field.from_order(5)
@@ -98,6 +110,29 @@ def test_search_sampling_is_seeded():
     assert set(a) <= full
     assert len(set(a)) == 5
     assert a == sorted(a)
+
+
+def test_sample_draw_past_sys_maxsize_is_random_sample_draw():
+    """The rejection draw used past sys.maxsize is the one random.sample
+    makes by itself wherever both can run."""
+    for seed, total, size in ((5, 10**6, 7), (9, 3000, 40), (1, 10**15, 2)):
+        want = random.Random(seed).sample(range(total), size)
+        assert search._draw_rejecting_repeats(random.Random(seed), total, size) == want
+
+
+def test_jobs_capped_at_core_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert SearchJob(GF5, 4, (3,), jobs=64).workers() == 3
+    assert SearchJob(GF5, 4, (3,), jobs=2).workers() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)   # unknown: one core
+    assert SearchJob(GF5, 4, (3,), jobs=64).workers() == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on a one-core machine")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    job = SearchJob(GF5, 4, (3,), deltas=(0,), jobs=64)
+    assert len(run_search(job)) == 5
 
 
 def test_search_filter_and_json():
@@ -363,6 +398,29 @@ def test_search_cli_explicit_points_and_sample(capsys):
         "--sample", "3", "--delta", "0", "--format", "csv", "--seed", "2"])
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+def test_search_cli_sample_past_sys_maxsize(capsys):
+    """C(1024, 10) node sets exceed 2^63; sampling two of them still works."""
+    code, out, err = run_cli(capsys, [
+        "search", "--field", "gf(1024)", "--n", "10", "--k", "3",
+        "--delta", "1", "--sample", "2", "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.startswith("1024,10,3,1,") for row in rows)
+
+
+def test_search_cli_golden_gf7_n4(capsys, tmp_path):
+    """CSV and JSON of a full gf(7), n = 4 search are byte-identical to the
+    output recorded from the loop-based criteria."""
+    path = tmp_path / "out.csv"
+    base = ["search", "--field", "gf(7)", "--n", "4", "--k", "all"]
+    assert main(base + ["--format", "csv", "--out", str(path)]) == 0
+    assert path.read_bytes() == (DATA / "search_gf7_n4.csv").read_bytes()
+    code, out, _ = run_cli(capsys, base + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GF7_N4_JSON_SHA256
 
 
 def test_search_cli_bad_k_spec(capsys):

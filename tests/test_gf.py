@@ -199,6 +199,20 @@ def test_field_identity_semantics():
     assert a != Field.from_order(9)
 
 
+def test_prime_field_ignores_its_linear_modulus():
+    """Every x + c gives GF(p) the same arithmetic, so the same field."""
+    plain = Field.from_order(7)
+    for field in (Field.from_order(7, (3, 1)), Field(7, 1, (3, 1)),
+                  parse_field("gf(7):5,1")):
+        assert field == plain and hash(field) == hash(plain)
+        assert field.modulus == (0, 1)
+    assert Field.from_order(7, (3, 1)) is plain       # one cache entry
+    with pytest.raises(ValueError):
+        Field.from_order(7, (3, 1, 5))                 # still checked
+    with pytest.raises(ValueError):
+        Field.from_order(7, (3, 2))
+
+
 def test_cap_boundary_field_smoke():
     f = Field.from_order(1024)
     assert (f.p, f.m) == (2, 10)
