@@ -11,8 +11,10 @@ from .codes import (
     schur_square,
 )
 from .construction import (
+    Criteria,
     EvalConfig,
     amds_criterion,
+    criteria,
     criteria_class,
     dual_amds_criterion,
     extension_vector,
@@ -30,6 +32,7 @@ from .verify import run_suites
 __version__ = "0.1.0"
 
 __all__ = [
+    "Criteria",
     "EvalConfig",
     "Field",
     "LinearCode",
@@ -37,6 +40,7 @@ __all__ = [
     "amds_criterion",
     "classify",
     "codes_equal",
+    "criteria",
     "criteria_class",
     "dual_amds_criterion",
     "extend_code",

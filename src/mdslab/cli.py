@@ -16,25 +16,15 @@ from pathlib import Path
 
 from .gf import Field, FieldError, parse_field
 from .linalg import Matrix
-from .codes import (
-    LinearCode,
-    classification_json,
-    classify,
-    grs_code,
-    grs_consistency_test,
-)
+from .codes import LinearCode, classify, grs_code, grs_consistency_test
 from .construction import (
     EvalConfig,
-    amds_criterion,
-    criteria_class,
-    dual_amds_criterion,
+    criteria,
     family_code,
     gapped_grs_code,
     gapped_grs_one_column_code,
     grs_three_column_code,
     grs_two_column_code,
-    mds_criterion,
-    nmds_criterion,
     parity_check_matrix,
 )
 from .search import (
@@ -104,15 +94,6 @@ def _config_from_args(args) -> EvalConfig:
 def _no_csv(args) -> None:
     if args.format == "csv":
         raise UsageError("format csv applies to the search subcommand only")
-
-
-def _criteria_reports(cfg: EvalConfig) -> dict:
-    return {
-        "mds": mds_criterion(cfg),
-        "amds": amds_criterion(cfg),
-        "dual_amds": dual_amds_criterion(cfg),
-        "nmds": nmds_criterion(cfg),
-    }
 
 
 def _report_line(name: str, rep) -> str:
@@ -189,20 +170,17 @@ def cmd_classify(args) -> int:
         if args.config or args.points:
             raise UsageError("--matrix excludes --config and --points")
         field = _require_field(args)
-        code = LinearCode(Matrix.parse(field, args.matrix))
-        cls = classify(code)
-        payload = classification_json(code, cls)
-        reports = None
+        cls = classify(LinearCode(Matrix.parse(field, args.matrix)))
+        payload = cls.to_json()
+        crit = None
     else:
         cfg = _config_from_args(args)
-        code = family_code(cfg)
-        cls = classify(code)
-        payload = classification_json(code, cls)
-        reports = _criteria_reports(cfg)
-        predicted = criteria_class(cfg)
-        payload["criteria_class"] = predicted
-        payload["criteria"] = {k: r.to_json() for k, r in reports.items()}
-        if predicted != cls.kind:
+        cls = classify(family_code(cfg))
+        crit = criteria(cfg)
+        payload = cls.to_json()
+        payload["criteria_class"] = crit.kind
+        payload["criteria"] = crit.to_json()
+        if crit.kind != cls.kind:
             print("counterexample: criteria disagree with brute force\n"
                   + json.dumps(cfg.to_json()), file=sys.stderr)
             return 1
@@ -212,9 +190,10 @@ def cmd_classify(args) -> int:
         lines = [f"{key}: {payload[key]}" for key in
                  ("length", "dimension", "min_distance", "dual_min_distance",
                   "singleton_defect", "dual_defect", "class")]
-        if reports is not None:
+        if crit is not None:
             lines.append(f"criteria_class: {payload['criteria_class']}")
-            lines += [_report_line(name, rep) for name, rep in reports.items()]
+            lines += [_report_line(name, rep)
+                      for name, rep in crit._asdict().items()]
         _emit("\n".join(lines), args)
     return 0
 
@@ -278,6 +257,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.field:
+        raise UsageError("verify takes its fields from --orders, not --field")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     fields = None
     if args.orders:

@@ -255,6 +255,20 @@ def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:
 # classification
 # ---------------------------------------------------------------------------
 
+def class_label(mds: bool, amds: bool, dual_amds: bool) -> str:
+    """The class table: the label of the three Singleton-defect verdicts.
+
+    mds: the code has defect 0; amds: defect 1; dual_amds: the dual has
+    defect 1.  classify reads it off the oracle's defects, and the subset-sum
+    criteria off their own verdicts.
+    """
+    if mds:
+        return MDS
+    if amds:
+        return NMDS if dual_amds else AMDS_ONLY_PRIMAL
+    return AMDS_ONLY_DUAL if dual_amds else OTHER
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str
@@ -262,6 +276,19 @@ class Classification:
     dual_defect: int
     min_distance: int
     dual_min_distance: int
+    length: int
+    dimension: int
+
+    def to_json(self) -> dict:
+        return {
+            "length": self.length,
+            "dimension": self.dimension,
+            "min_distance": self.min_distance,
+            "dual_min_distance": self.dual_min_distance,
+            "singleton_defect": self.singleton_defect,
+            "dual_defect": self.dual_defect,
+            "class": self.kind,
+        }
 
 
 def classify(code: LinearCode) -> Classification:
@@ -273,30 +300,8 @@ def classify(code: LinearCode) -> Classification:
     dd = code.dual.min_distance
     s = code.length - code.dimension + 1 - d
     sd = code.dimension + 1 - dd
-    if s == 0:
-        kind = MDS
-    elif s == 1 and sd == 1:
-        kind = NMDS
-    elif s == 1:
-        kind = AMDS_ONLY_PRIMAL
-    elif sd == 1:
-        kind = AMDS_ONLY_DUAL
-    else:
-        kind = OTHER
-    return Classification(kind, s, sd, d, dd)
-
-
-def classification_json(code: LinearCode, cls: Classification | None = None) -> dict:
-    cls = cls or classify(code)
-    return {
-        "length": code.length,
-        "dimension": code.dimension,
-        "min_distance": cls.min_distance,
-        "dual_min_distance": cls.dual_min_distance,
-        "singleton_defect": cls.singleton_defect,
-        "dual_defect": cls.dual_defect,
-        "class": cls.kind,
-    }
+    return Classification(class_label(s == 0, s == 1, sd == 1), s, sd, d, dd,
+                          code.length, code.dimension)
 
 
 # ---------------------------------------------------------------------------

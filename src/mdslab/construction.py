@@ -15,9 +15,12 @@ and delta quantities of a node set are int16 arrays in lex order, built by
 table lookups over an index array of combinations and kept in two bounded
 caches (1024 node-set entries each).  A "faces" table lists, for each size-t
 subset, the lex ranks of its size-(t-1) subsets, so a universal clause is one
-.all(axis=1) over it.  The four criteria and criteria_class are views of the
-one scan that yields every clause's first witness.  The index and faces
-tables depend only on (n, t) and sit in their own small caches.
+.all(axis=1) over it.  One scan yields every clause's first witness, and
+criteria(cfg) turns it into the Criteria record of all four reports, which
+is what search, classify and verify use.  The single-verdict entry points
+and criteria_class read the same scan and build only what they return.  The
+index and faces tables depend only on (n, t) and sit in their own small
+caches.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,16 +40,14 @@ from .linalg import (
     second_elementary_symmetric,
 )
 from .codes import (
-    AMDS_ONLY_DUAL,
-    AMDS_ONLY_PRIMAL,
     BadDimensionError,
+    Classification,
     GrsReport,
     LengthMismatchError,
     LinearCode,
-    MDS,
     NMDS,
-    OTHER,
     ZeroScaleError,
+    class_label,
     grs_consistency_test,
 )
 
@@ -385,29 +386,6 @@ def _first_row(mask: np.ndarray, rows: np.ndarray) -> tuple[int, ...] | None:
     return tuple(rows[i].tolist()) if mask[i] else None
 
 
-def avoids_subset_sum(field: Field, alphas: Sequence[int], t: int, delta: int) -> CriterionReport:
-    """Does no size-t subset of the nodes sum to delta?"""
-    pts = require_distinct(alphas)
-    if not 1 <= t <= len(pts):
-        raise ValueError(f"subset size {t} outside [1, {len(pts)}]")
-    hit = _first_row(_subset_sums(field, pts, t) == delta,
-                     _combinations(len(pts), t))
-    if hit is not None:
-        return CriterionReport("avoids_subset_sum", False, hit, "subset_sum")
-    return CriterionReport("avoids_subset_sum", True)
-
-
-def is_zero_sum_free(field: Field, alphas: Sequence[int], t: int) -> CriterionReport:
-    rep = avoids_subset_sum(field, alphas, t, 0)
-    return CriterionReport("zero_sum_free", rep.holds, rep.witness, rep.clause)
-
-
-def contains_zero_sum(field: Field, alphas: Sequence[int], t: int) -> CriterionReport:
-    rep = avoids_subset_sum(field, alphas, t, 0)
-    clause = "subset_sum" if rep.witness is not None else None
-    return CriterionReport("contains_zero_sum", not rep.holds, rep.witness, clause)
-
-
 # ---------------------------------------------------------------------------
 # the four classification criteria
 # ---------------------------------------------------------------------------
@@ -444,6 +422,15 @@ class _Scan(NamedTuple):
             return False, self.u2_failure, U2_CLAUSE
         return self.dual_amds()
 
+    def report(self, criterion: str) -> CriterionReport:
+        """The named criterion's report.  mds is the negation of dual_amds,
+        with the same witness; amds and nmds share their clauses."""
+        if criterion in ("amds", "nmds"):
+            return CriterionReport(criterion, *self.amds())
+        holds, witness, clause = self.dual_amds()
+        return CriterionReport(criterion, holds != (criterion == "mds"),
+                               witness, clause)
+
 
 def _scan(cfg: EvalConfig) -> _Scan:
     """One vectorized pass over the subset tables of cfg's node set.
@@ -468,32 +455,68 @@ def _scan(cfg: EvalConfig) -> _Scan:
     return _Scan(zero_sum, delta_match, u1, u2)
 
 
+class Criteria(NamedTuple):
+    """The four criterion reports of one config, from one scan.
+
+    The field names are the JSON keys.  The record also owns the class the
+    verdicts imply and the rule each verdict must satisfy on the distance
+    oracle's Classification.
+    """
+
+    mds: CriterionReport
+    amds: CriterionReport
+    dual_amds: CriterionReport
+    nmds: CriterionReport
+
+    def to_json(self) -> dict:
+        return {name: rep.to_json() for name, rep in self._asdict().items()}
+
+    @property
+    def kind(self) -> str:
+        """The class label the verdicts imply."""
+        return class_label(self.mds.holds, self.amds.holds, self.dual_amds.holds)
+
+    def checks(self, cls: Classification) -> Iterator[tuple[str, bool, bool]]:
+        """(criterion, verdict, what the oracle's cls says it must be), in
+        field order: mds iff defect 0, amds iff defect 1, dual_amds iff the
+        dual has defect 1, nmds iff the class is NMDS."""
+        truths = (cls.singleton_defect == 0, cls.singleton_defect == 1,
+                  cls.dual_defect == 1, cls.kind == NMDS)
+        for name, rep, truth in zip(self._fields, self, truths):
+            yield name, rep.holds, truth
+
+
+def criteria(cfg: EvalConfig) -> Criteria:
+    """All four criterion reports of cfg from one scan."""
+    scan = _scan(cfg)
+    return Criteria(*map(scan.report, Criteria._fields))
+
+
 def mds_criterion(cfg: EvalConfig) -> CriterionReport:
     """MDS iff no size-k subset sums to 0 and no size-(k-1) subset matches delta.
 
     Clause one is scanned before clause two; the witness of a failure is the
     lexicographically first violating subset of the violating clause.
     """
-    holds, witness, clause = _scan(cfg).dual_amds()
-    return CriterionReport("mds", not holds, witness, clause)
+    return _scan(cfg).report("mds")
 
 
 def dual_amds_criterion(cfg: EvalConfig) -> CriterionReport:
     """Dual is AMDS iff some size-k subset sums to 0 or some size-(k-1) subset
     matches delta; the witness is the first satisfying subset (zero-sum family
     scanned first)."""
-    return CriterionReport("dual_amds", *_scan(cfg).dual_amds())
+    return _scan(cfg).report("dual_amds")
 
 
 def amds_criterion(cfg: EvalConfig) -> CriterionReport:
     """U1 and U2 and (E1 or E2); see _Scan.  The amds and nmds conditions
     reduce to the same clauses for this family, so the two criteria coincide."""
-    return CriterionReport("amds", *_scan(cfg).amds())
+    return _scan(cfg).report("amds")
 
 
 def nmds_criterion(cfg: EvalConfig) -> CriterionReport:
     """The same clauses as amds_criterion, reported under the name nmds."""
-    return CriterionReport("nmds", *_scan(cfg).amds())
+    return _scan(cfg).report("nmds")
 
 
 def criteria_class(cfg: EvalConfig) -> str:
@@ -501,16 +524,12 @@ def criteria_class(cfg: EvalConfig) -> str:
 
     mds/amds/dual_amds decide the Singleton defects of code and dual without
     building anything, so this is the subset-sum route to the same label
-    classify(family_code(cfg)) computes by enumeration.  One scan serves all
-    three verdicts.
+    classify(family_code(cfg)) computes from distances.  It runs one scan and
+    builds no report.
     """
     scan = _scan(cfg)
-    dual_amds, amds = scan.dual_amds()[0], scan.amds()[0]
-    if not dual_amds:               # the mds criterion holds
-        return MDS
-    if amds:
-        return NMDS if dual_amds else AMDS_ONLY_PRIMAL
-    return AMDS_ONLY_DUAL if dual_amds else OTHER
+    dual_amds = scan.dual_amds()[0]
+    return class_label(not dual_amds, scan.amds()[0], dual_amds)
 
 
 def non_grs_certificate(cfg: EvalConfig) -> GrsReport:

@@ -11,7 +11,6 @@ codeword enumerations run as fancy indexing instead of per-element Python.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from typing import Iterable, Sequence
 
@@ -322,13 +321,6 @@ class Field:
                 raise ValueError(f"digit {d} out of range [0, {self.p})")
             a += d * self.p**i
         return a
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        if self.q == 2:
-            return 1
-        return (self.q - 1) // math.gcd(int(self.log[a]), self.q - 1)
 
     def primitive_element(self) -> int:
         """Smallest element in canonical order generating the unit group."""

@@ -95,12 +95,6 @@ class Matrix:
             raise ValueError("row counts differ")
         return Matrix(self.field, np.hstack([self.a, other.a]))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.ncols != other.ncols:
-            raise ValueError("column counts differ")
-        return Matrix(self.field, np.vstack([self.a, other.a]))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.ncols != other.nrows:
@@ -226,21 +220,6 @@ def nullspace(M: Matrix) -> Matrix:
         for ri, pc in enumerate(pivots):
             basis[bi, pc] = f.neg(int(R.a[ri, fc]))
     return Matrix(f, basis.reshape(len(free), cols))
-
-
-def solve(M: Matrix, b: Sequence[int]) -> np.ndarray:
-    """One solution x of M x^T = b (free variables set to 0)."""
-    bvec = np.asarray(b, dtype=np.int16).reshape(-1, 1)
-    if bvec.shape[0] != M.nrows:
-        raise ValueError("right-hand side length mismatch")
-    aug = np.hstack([M.a, bvec]).astype(np.int16)
-    pivots = _rref_inplace(M.field, aug)
-    if pivots and pivots[-1] == M.ncols:
-        raise ValueError("inconsistent linear system")
-    x = np.zeros(M.ncols, dtype=np.int16)
-    for ri, pc in enumerate(pivots):
-        x[pc] = aug[ri, -1]
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A search walks (A, k, delta) triples in a fixed canonical order: node sets
 lexicographic by element index, then k ascending, then delta ascending.  Every
-visited config is classified twice, once through the subset-sum criteria and
-once by the distance oracle, and any disagreement aborts the whole run; a
-completed search doubles as an oracle cross-check over everything it visited.
+visited config is classified twice, once by the distance oracle and once
+through one Criteria record (one subset-sum scan), and any verdict that breaks
+the record's rule aborts the whole run; a completed search doubles as an
+oracle cross-check over everything it visited.  A record serializes through
+the to_json of its parts.
 Records matching the class filter are returned in visit order, so equal inputs
 give byte-identical output regardless of worker count.
 """
@@ -36,12 +38,11 @@ from .codes import (
     classify,
     grs_consistency_test,
 )
-from .construction import (
-    CriterionReport,
-    EvalConfig,
+from .construction import Criteria, EvalConfig, criteria, family_code
+# the benchmark's tracer (bench/tracing.py) wraps these names in this module
+from .construction import (  # noqa: F401
     amds_criterion,
     dual_amds_criterion,
-    family_code,
     mds_criterion,
     nmds_criterion,
 )
@@ -206,14 +207,11 @@ class SearchRecord:
     config: EvalConfig
     classification: Classification
     grs: GrsReport
-    mds: CriterionReport
-    amds: CriterionReport
-    dual_amds: CriterionReport
-    nmds: CriterionReport
+    criteria: Criteria
 
     def witness_string(self) -> str:
         """The satisfied dual-AMDS clause, which certifies any non-MDS class."""
-        rep = self.dual_amds
+        rep = self.criteria.dual_amds
         if rep.witness is None:
             return ""
         return rep.clause + ":" + "+".join(str(i) for i in rep.witness)
@@ -226,25 +224,11 @@ class SearchRecord:
                 self.grs.verdict, self.witness_string()]
 
     def to_json(self) -> dict:
-        cfg, cls = self.config, self.classification
         return {
-            "config": cfg.to_json(),
-            "classification": {
-                "length": cfg.n + 2,
-                "dimension": cfg.k,
-                "min_distance": cls.min_distance,
-                "dual_min_distance": cls.dual_min_distance,
-                "singleton_defect": cls.singleton_defect,
-                "dual_defect": cls.dual_defect,
-                "class": cls.kind,
-            },
+            "config": self.config.to_json(),
+            "classification": self.classification.to_json(),
             "grs": self.grs.to_json(),
-            "criteria": {
-                "mds": self.mds.to_json(),
-                "amds": self.amds.to_json(),
-                "dual_amds": self.dual_amds.to_json(),
-                "nmds": self.nmds.to_json(),
-            },
+            "criteria": self.criteria.to_json(),
         }
 
 
@@ -252,21 +236,12 @@ def evaluate_config(cfg: EvalConfig) -> SearchRecord:
     """Classify one config both ways; raise on any disagreement."""
     code = family_code(cfg)     # classify and the Schur screen share code.dual
     cls = classify(code)
-    m = mds_criterion(cfg)
-    a = amds_criterion(cfg)
-    da = dual_amds_criterion(cfg)
-    nm = nmds_criterion(cfg)
-    checks = (
-        ("mds", m.holds, cls.singleton_defect == 0),
-        ("amds", a.holds, cls.singleton_defect == 1),
-        ("dual_amds", da.holds, cls.dual_defect == 1),
-        ("nmds", nm.holds, cls.kind == NMDS),
-    )
-    for name, predicted, actual in checks:
+    crit = criteria(cfg)
+    for name, predicted, actual in crit.checks(cls):
         if predicted != actual:
             raise SearchMismatchError(
                 cfg, f"{name} criterion says {predicted}, code says {actual}")
-    return SearchRecord(cfg, cls, grs_consistency_test(code), m, a, da, nm)
+    return SearchRecord(cfg, cls, grs_consistency_test(code), crit)
 
 
 def run_search(job: SearchJob) -> list[SearchRecord]:

@@ -4,6 +4,11 @@ A suite walks its scope exhaustively, stops at the first counterexample, and
 reports it as a reproducible JSON blob.  The default scope covers field orders
 4, 5, 7, 8, 9 with node sets up to size 7 and k capped at 5; --quick trims to
 orders 4, 5, 7 and size 5.
+
+The four criterion suites (mds, amds, dual-amds, nmds) are filters over one
+sweep: each config is built, scanned and classified once, every requested
+suite checks its verdict against the Criteria record's rule and stops counting
+at its own first counterexample, and the sweep ends when no suite is live.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .gf import Field
 from .linalg import (
@@ -25,7 +30,6 @@ from .linalg import (
 from .codes import (
     Classification,
     LinearCode,
-    NMDS,
     NON_GRS,
     classify,
     codes_equal,
@@ -35,17 +39,21 @@ from .codes import (
 )
 from .construction import (
     EvalConfig,
-    amds_criterion,
-    dual_amds_criterion,
+    criteria,
     extension_vector,
     family_code,
     gapped_grs_one_column_code,
     lagrange_weights,
-    mds_criterion,
-    nmds_criterion,
     non_grs_certificate,
     parity_check_matrix,
     weighted_power_sum,
+)
+# the benchmark's tracer (bench/tracing.py) wraps these names in this module
+from .construction import (  # noqa: F401
+    amds_criterion,
+    dual_amds_criterion,
+    mds_criterion,
+    nmds_criterion,
 )
 
 DEFAULT_FIELD_ORDERS = (4, 5, 7, 8, 9)
@@ -56,6 +64,7 @@ MAX_SWEEP_K = 5
 
 SUITE_NAMES = ("powersum", "det", "parity", "extend",
                "mds", "amds", "dual-amds", "nmds", "schur")
+CRITERION_SUITES = ("mds", "amds", "dual-amds", "nmds")
 
 
 @dataclass
@@ -96,7 +105,8 @@ def sweep_size(fields: Sequence[Field], max_n: int) -> int:
 
 @lru_cache(maxsize=None)
 def classified(cfg: EvalConfig) -> Classification:
-    """Oracle classification, cached so suites can share one sweep."""
+    """Oracle classification, cached so that separate criterion checks over
+    the same scope classify each config once."""
     return classify(family_code(cfg))
 
 
@@ -173,40 +183,48 @@ def check_extend(fields: Sequence[Field], max_n: int) -> SuiteResult:
     return SuiteResult("extend", True, checked)
 
 
-def _check_criterion(suite: str, fields: Sequence[Field], max_n: int,
-                     criterion: Callable[[EvalConfig], object],
-                     truth: Callable[[Classification], bool]) -> SuiteResult:
-    checked = 0
+def sweep_criteria(fields: Sequence[Field], max_n: int,
+                   suites: Sequence[str]) -> dict[str, SuiteResult]:
+    """One sweep checking the criterion suites named, keyed by suite name.
+
+    A suite counts each config until its verdict breaks the Criteria rule on
+    the oracle's classification; that config is its counterexample.
+    """
+    live = dict.fromkeys(suites, 0)         # suite -> configs checked
+    results = {}
     for cfg in sweep_configs(fields, max_n):
-        rep = criterion(cfg)
+        if not live:
+            break
         cls = classified(cfg)
-        checked += 1
-        if rep.holds != truth(cls):
-            return SuiteResult(suite, False, checked, {
-                "config": cfg.to_json(), "criterion_holds": rep.holds,
-                "class": cls.kind, "singleton_defect": cls.singleton_defect,
-                "dual_defect": cls.dual_defect})
-    return SuiteResult(suite, True, checked)
+        for name, holds, truth in criteria(cfg).checks(cls):
+            suite = name.replace("_", "-")
+            if suite not in live:
+                continue
+            live[suite] += 1
+            if holds != truth:
+                results[suite] = SuiteResult(suite, False, live.pop(suite), {
+                    "config": cfg.to_json(), "criterion_holds": holds,
+                    "class": cls.kind, "singleton_defect": cls.singleton_defect,
+                    "dual_defect": cls.dual_defect})
+    for suite, checked in live.items():
+        results[suite] = SuiteResult(suite, True, checked)
+    return results
 
 
 def check_mds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return _check_criterion("mds", fields, max_n, mds_criterion,
-                            lambda cls: cls.singleton_defect == 0)
+    return sweep_criteria(fields, max_n, ("mds",))["mds"]
 
 
 def check_amds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return _check_criterion("amds", fields, max_n, amds_criterion,
-                            lambda cls: cls.singleton_defect == 1)
+    return sweep_criteria(fields, max_n, ("amds",))["amds"]
 
 
 def check_dual_amds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return _check_criterion("dual-amds", fields, max_n, dual_amds_criterion,
-                            lambda cls: cls.dual_defect == 1)
+    return sweep_criteria(fields, max_n, ("dual-amds",))["dual-amds"]
 
 
 def check_nmds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return _check_criterion("nmds", fields, max_n, nmds_criterion,
-                            lambda cls: cls.kind == NMDS)
+    return sweep_criteria(fields, max_n, ("nmds",))["nmds"]
 
 
 def check_schur(quick: bool = False) -> SuiteResult:
@@ -263,32 +281,24 @@ def check_schur(quick: bool = False) -> SuiteResult:
 
 def run_suites(names: Sequence[str], fields: Sequence[Field] | None = None,
                max_n: int | None = None, quick: bool = False) -> list[SuiteResult]:
+    """Results of the named suites, in the order named; the criterion suites
+    among them share one sweep."""
+    unknown = [name for name in names if name not in SUITE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}")
     orders = QUICK_FIELD_ORDERS if quick else DEFAULT_FIELD_ORDERS
     sweep_fields = (tuple(fields) if fields
                     else tuple(Field.from_order(q) for q in orders))
     if max_n is None:
         max_n = QUICK_MAX_N if quick else DEFAULT_MAX_N
-    results = []
-    for name in names:
-        if name == "powersum":
-            results.append(check_powersum(sweep_fields, max_n))
-        elif name == "det":
-            sizes = (3, 4) if quick else (3, 4, 5)
-            results.append(check_det(fields=fields, sizes=sizes))
-        elif name == "parity":
-            results.append(check_parity(sweep_fields, max_n))
-        elif name == "extend":
-            results.append(check_extend(sweep_fields, max_n))
-        elif name == "mds":
-            results.append(check_mds(sweep_fields, max_n))
-        elif name == "amds":
-            results.append(check_amds(sweep_fields, max_n))
-        elif name == "dual-amds":
-            results.append(check_dual_amds(sweep_fields, max_n))
-        elif name == "nmds":
-            results.append(check_nmds(sweep_fields, max_n))
-        elif name == "schur":
-            results.append(check_schur(quick=quick))
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-    return results
+    suites = {
+        "powersum": lambda: check_powersum(sweep_fields, max_n),
+        "det": lambda: check_det(fields=fields,
+                                 sizes=(3, 4) if quick else (3, 4, 5)),
+        "parity": lambda: check_parity(sweep_fields, max_n),
+        "extend": lambda: check_extend(sweep_fields, max_n),
+        "schur": lambda: check_schur(quick=quick),
+    }
+    swept = sweep_criteria(sweep_fields, max_n,
+                           [name for name in names if name in CRITERION_SUITES])
+    return [swept[name] if name in swept else suites[name]() for name in names]

@@ -16,6 +16,7 @@ import pytest
 from mdslab.gf import Field
 from mdslab.cli import main
 from mdslab import search
+from mdslab.construction import EvalConfig
 from mdslab.search import (
     BudgetExceededError,
     SearchJob,
@@ -31,6 +32,10 @@ DATA = Path(__file__).resolve().parent / "data"
 # the loop-based criteria before they were vectorized
 GOLDEN_GF7_N4_JSON_SHA256 = (
     "fef1e16cc4805c89daf3c79e337fa12d443ab5270c35925cc6e474b2845764d8")
+# sha256 of `verify all --quick --format json`, recorded from the four
+# separate criterion sweeps before they became one
+GOLDEN_VERIFY_QUICK_JSON_SHA256 = (
+    "c8e896033b63d5fbbfda9eccb89e86551c45b004d53d67062b13bd884ac088f7")
 
 GF4 = Field.from_order(4)
 GF5 = Field.from_order(5)
@@ -155,8 +160,15 @@ def test_search_witness_column():
     assert rec.classification.min_distance == 2
     assert rec.classification.dual_min_distance == 3
     assert rec.witness_string() == "zero_sum_k:0+1+3"
-    assert rec.amds.clause == "all_k_minus_1_subsets_match_delta"
-    assert rec.amds.witness == (0, 1, 3)
+    assert rec.criteria.amds.clause == "all_k_minus_1_subsets_match_delta"
+    assert rec.criteria.amds.witness == (0, 1, 3)
+
+
+def test_evaluate_config_scans_once(scanned):
+    cfg = EvalConfig.ones(GF7, (1, 2, 3, 4), 3, 0)
+    record = search.evaluate_config(cfg)
+    assert scanned == [cfg]
+    assert record.criteria.dual_amds.witness == (0, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +338,13 @@ def test_classify_past_message_enumeration(capsys):
     assert "class: NMDS\ncriteria_class: NMDS" in out
 
 
+def test_classify_scans_once(capsys, scanned):
+    code, out, _ = run_cli(capsys, ["classify"] + EXAMPLE1_ARGS)
+    assert code == 0
+    assert "criteria_class: MDS\nmds: holds\n" in out
+    assert len(scanned) == 1
+
+
 def test_schur_text_and_json(capsys):
     code, out, _ = run_cli(capsys, [
         "schur", "--field", "gf(11)", "--points", "0,1,2,3,4,5,6",
@@ -444,6 +463,21 @@ def test_verify_cli_scoped(capsys):
         "verify", "mds", "--orders", "5", "--max-n", "4"])
     assert code == 0
     assert out == "mds: PASS (100 checks)\n"
+
+
+def test_verify_cli_refuses_field(capsys):
+    code, out, err = run_cli(capsys, [
+        "verify", "mds", "--field", "gf(64)", "--orders", "5", "--max-n", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: verify takes its fields from --orders, not --field\n"
+
+
+def test_verify_cli_golden_quick_json(capsys):
+    """`verify all --quick --format json` is byte-identical to the output
+    recorded from the four separate criterion sweeps."""
+    code, out, _ = run_cli(capsys, ["verify", "all", "--quick", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_QUICK_JSON_SHA256
 
 
 def test_verify_cli_json(capsys):

@@ -30,7 +30,6 @@ from mdslab.codes import (
     _oracle_plan,
     _projective_min_weight,
     _rank_scan_min_weight,
-    classification_json,
     classify,
     codes_equal,
     extend_code,
@@ -207,7 +206,7 @@ def test_codes_equal_semantics():
 
 def test_classify_examples():
     cls = classify(EXAMPLE1)
-    assert cls == Classification(MDS, 0, 0, 3, 4)  # dual is [5,2] MDS, d = 4
+    assert cls == Classification(MDS, 0, 0, 3, 4, 5, 3)  # dual is [5,2] MDS, d = 4
     assert classify(EXAMPLE2).kind == MDS
 
     # gapped evaluation code (powers 0,1,3) on a node set with a zero-sum triple
@@ -224,7 +223,7 @@ def test_classify_examples():
 
 
 def test_classification_json_schema():
-    rep = classification_json(EXAMPLE1)
+    rep = classify(EXAMPLE1).to_json()
     assert rep == {
         "length": 5,
         "dimension": 3,

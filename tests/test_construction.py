@@ -32,8 +32,6 @@ from mdslab.construction import (
     EllOutOfRangeError,
     EvalConfig,
     amds_criterion,
-    avoids_subset_sum,
-    contains_zero_sum,
     criteria_class,
     dual_amds_criterion,
     extension_vector,
@@ -42,7 +40,6 @@ from mdslab.construction import (
     gapped_grs_one_column_code,
     grs_three_column_code,
     grs_two_column_code,
-    is_zero_sum_free,
     lagrange_weights,
     mds_criterion,
     nmds_criterion,
@@ -329,32 +326,6 @@ def test_parity_check_identities():
 # ---------------------------------------------------------------------------
 # subset-sum predicates
 # ---------------------------------------------------------------------------
-
-def test_avoids_subset_sum_examples():
-    # 1 + 2 + 4 = 0 in GF(7)
-    rep = avoids_subset_sum(GF7, (1, 2, 4), 3, 0)
-    assert rep == CriterionReport("avoids_subset_sum", False, (0, 1, 2), "subset_sum")
-    # 0 + 1 + w = w^2, nonzero
-    assert avoids_subset_sum(GF4, (0, 1, 2), 3, 0).holds
-    # size 1 means plain membership
-    assert not avoids_subset_sum(GF7, (1, 2, 4), 1, 2).holds
-    assert avoids_subset_sum(GF7, (1, 2, 4), 1, 3).holds
-    for bad_t in (0, 4):
-        with pytest.raises(ValueError):
-            avoids_subset_sum(GF7, (1, 2, 4), bad_t, 0)
-
-
-def test_zero_sum_wrappers_are_negations():
-    for pts in itertools.combinations(range(5), 3):
-        for t in (1, 2, 3):
-            free = is_zero_sum_free(GF5, pts, t)
-            has = contains_zero_sum(GF5, pts, t)
-            assert free.holds != has.holds
-            assert free.witness == has.witness
-            direct = any(subset_sum(GF5, pts, i) == 0
-                         for i in itertools.combinations(range(3), t))
-            assert has.holds == direct
-
 
 def test_criterion_report_json():
     rep = CriterionReport("mds", False, (0, 2), "delta_match_k_minus_1")

@@ -19,6 +19,7 @@ from mdslab.construction import (
     CriterionReport,
     EvalConfig,
     amds_criterion,
+    criteria,
     criteria_class,
     dual_amds_criterion,
     family_code,
@@ -116,6 +117,9 @@ def assert_matches_reference(cfg):
     assert [r.to_json() for r in got] == [r.to_json() for r in want], cfg.to_json()
     assert got == want, cfg.to_json()
     assert criteria_class(cfg) == ref_class(want), cfg.to_json()
+    record = criteria(cfg)
+    assert tuple(record) == want, cfg.to_json()
+    assert record.kind == ref_class(want), cfg.to_json()
     return want
 
 

@@ -19,7 +19,6 @@ from mdslab.linalg import (
     rank,
     rref,
     second_elementary_symmetric,
-    solve,
     vandermonde_det_skip_penultimate,
     vandermonde_det_skip_two,
 )
@@ -94,7 +93,7 @@ def test_det_multiplicative(q):
 
 
 # ---------------------------------------------------------------------------
-# rref / rank / nullspace / solve
+# rref / rank / nullspace
 # ---------------------------------------------------------------------------
 
 def test_rref_examples():
@@ -146,19 +145,6 @@ def test_nullspace_orthogonal_and_independent():
                 assert not prod.a.any()
 
 
-def test_solve():
-    rng = np.random.default_rng(13)
-    f = Field.from_order(9)
-    for _ in range(10):
-        m = random_matrix(f, 4, 6, rng)
-        x = rng.integers(0, 9, size=6)
-        b = m.matvec(x)
-        got = solve(m, b)
-        assert np.array_equal(m.matvec(got), b)
-    with pytest.raises(ValueError):
-        solve(Matrix(f, [[1, 0], [1, 0]]), [1, 2])
-
-
 # ---------------------------------------------------------------------------
 # matrix mechanics
 # ---------------------------------------------------------------------------
@@ -190,7 +176,6 @@ def test_matrix_validation_and_identity():
 def test_stack_and_transpose():
     m = Matrix(GF7, [[1, 2], [3, 4]])
     assert m.hstack(identity(GF7, 2)).tolist() == [[1, 2, 1, 0], [3, 4, 0, 1]]
-    assert m.vstack(Matrix(GF7, [[5, 6]])).tolist() == [[1, 2], [3, 4], [5, 6]]
     assert m.transpose().tolist() == [[1, 3], [2, 4]]
     with pytest.raises(ValueError):
         m.hstack(Matrix(GF7, [[1, 1]]))
