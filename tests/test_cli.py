@@ -285,6 +285,22 @@ def test_unexpected_exception_is_one_line_exit_2(capsys, monkeypatch):
     assert err.endswith(": multi line\n")
 
 
+CLASSIFY_1234 = ["--points", "1,2,3,4", "--k", "3", "--delta", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^61 - 1: factoring it by trial division would take minutes
+    ["classify", "--field", "gf(2305843009213693951)"] + CLASSIFY_1234,
+    ["classify", "--field", "gf(2^100000)"] + CLASSIFY_1234,
+    ["verify", "all", "--orders", "2305843009213693951"],
+])
+def test_oversized_field_refused_at_once(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: q = ") and err.count("\n") == 1
+    assert err.endswith(" exceeds the supported cap 1024\n")
+
+
 # ---------------------------------------------------------------------------
 # cli: classify and schur
 # ---------------------------------------------------------------------------

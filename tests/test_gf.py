@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdslab.gf import (
     Field,
@@ -15,6 +20,9 @@ from mdslab.gf import (
 )
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+PRIME_POWERS = sorted(((p, m) for p in range(2, 1025) if is_prime(p)
+                       for m in range(1, 11) if p**m <= 1024),
+                      key=lambda pm: pm[0] ** pm[1])
 FERMAT_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
                  41, 43, 47, 49, 53, 59, 61, 64]
 
@@ -38,6 +46,87 @@ def slow_mul(f: Field, a: int, b: int) -> int:
     return sum(conv[i] * p**i for i in range(m))
 
 
+def digitwise_add(f: Field, a: int, b: int) -> int:
+    """Independent oracle: add the base-p digit vectors mod p."""
+    p, m = f.p, f.m
+    return sum((((a // p**i) + (b // p**i)) % p) * p**i for i in range(m))
+
+
+def slow_pow(f: Field, a: int, e: int) -> int:
+    """a^e by square-and-multiply over slow_mul, for e >= 0."""
+    out = 1
+    while e:
+        if e & 1:
+            out = slow_mul(f, out, a)
+        a = slow_mul(f, a, a)
+        e >>= 1
+    return out
+
+
+def table_digest(fields) -> str:
+    """SHA-256 over each field's spec, primitive element and every table."""
+    h = hashlib.sha256()
+    for f in fields:
+        h.update(f"{f.spec_string()} g={f.primitive_element()};".encode())
+        for t in (f.add_table, f.sub_table, f.mul_table, f.inv_table, f.exp, f.log):
+            h.update(f"{t.dtype.str}{t.shape};".encode())
+            h.update(np.ascontiguousarray(t).tobytes())
+    return h.hexdigest()
+
+
+# table_digest of every prime-power field up to 1024 with its default
+# modulus, in order of q, then gf(2^3):1,1,0,1 and gf(2^8):1,1,0,1,1,0,0,0,1;
+# recorded from the element-by-element table build it replaced
+GOLDEN_TABLES_SHA256 = (
+    "3d2eb53af09c941bf7af44b1b6cead3da17eb3ced81c0e444cff2568872097e2")
+
+
+def test_tables_match_golden_digest():
+    def fields():  # built one at a time, so no more than one is held
+        for p, m in PRIME_POWERS:
+            yield Field(p, m)
+        yield Field(2, 3, (1, 1, 0, 1))
+        yield Field(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
+    assert len(PRIME_POWERS) == 198
+    assert table_digest(fields()) == GOLDEN_TABLES_SHA256
+
+
+@functools.lru_cache(maxsize=4)
+def uncached_field(p: int, m: int) -> Field:
+    """Field(p, m) outside the library's unbounded from_order cache."""
+    return Field(p, m)
+
+
+@st.composite
+def field_elements(draw):
+    f = uncached_field(*draw(st.sampled_from(PRIME_POWERS)))
+    a, b, c = (draw(st.integers(0, f.q - 1)) for _ in range(3))
+    return f, a, b, c
+
+
+@given(field_elements())
+def test_field_axioms_on_drawn_fields(fabc):
+    f, a, b, c = fabc
+    assert f.add(a, b) == digitwise_add(f, a, b) == f.add(b, a)
+    assert f.mul(a, b) == slow_mul(f, a, b) == f.mul(b, a)
+    assert f.sub(f.add(a, b), b) == a
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, f.neg(a)) == 0
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.exp[f.log[a]] == a
+    for e in (0, 1, b, c + f.q):
+        assert f.pow(a, e) == slow_pow(f, a, e)
+    g = f.primitive_element()
+    assert f.log[g] == 1 % (f.q - 1) and f.pow(g, b) == f.exp[b % (f.q - 1)]
+    # order q - 1: g^((q-1)/r) != 1 for every prime r dividing q - 1
+    assert slow_pow(f, g, f.q - 1) == 1
+    assert all(slow_pow(f, g, (f.q - 1) // r) != 1
+               for r in range(2, f.q) if (f.q - 1) % r == 0 and is_prime(r))
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
 def test_mul_table_matches_polynomial_oracle(q):
     f = Field.from_order(q)
@@ -49,11 +138,9 @@ def test_mul_table_matches_polynomial_oracle(q):
 @pytest.mark.parametrize("q", [4, 8, 9, 25])
 def test_add_table_matches_digitwise_oracle(q):
     f = Field.from_order(q)
-    p, m = f.p, f.m
     for a in f.elements():
         for b in f.elements():
-            expect = sum((((a // p**i) + (b // p**i)) % p) * p**i for i in range(m))
-            assert f.add(a, b) == expect
+            assert f.add(a, b) == digitwise_add(f, a, b)
             assert f.sub(f.add(a, b), b) == a
 
 
@@ -155,6 +242,14 @@ def test_construction_errors():
         Field.from_order(12)
     with pytest.raises(UnsupportedSizeError):
         Field.from_order(2048)
+    with pytest.raises(UnsupportedSizeError):   # refused before factoring
+        Field.from_order(2305843009213693951)
+    with pytest.raises(UnsupportedSizeError):   # refused before the power
+        parse_field("gf(2^100000)")
+    with pytest.raises(UnsupportedSizeError):
+        parse_field("gf(2305843009213693951^2)")
+    with pytest.raises(NonPrimeError):
+        parse_field("gf(6^2)")
     with pytest.raises(ReducibleModulusError):
         Field(2, 2, [1, 0, 1])  # x^2+1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError):

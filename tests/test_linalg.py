@@ -6,8 +6,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from mdslab.gf import Field, FieldMismatchError
+from mdslab.codes import LinearCode, codes_equal
+from mdslab.gf import Field, FieldMismatchError, is_prime
 from mdslab.linalg import (
     DuplicatePointsError,
     Matrix,
@@ -143,6 +145,43 @@ def test_nullspace_orthogonal_and_independent():
                 assert rank(ns) == ns.nrows
                 prod = m @ ns.transpose()
                 assert not prod.a.any()
+
+
+@st.composite
+def matrices(draw):
+    """A matrix over a field of order <= 64, rank-deficient about half the
+    time: its last row is then a combination of two earlier rows."""
+    f = Field.from_order(draw(st.sampled_from(
+        [p**m for p in range(2, 65) if is_prime(p) for m in range(1, 7) if p**m <= 64])))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    entries = st.integers(0, f.q - 1)
+    a = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        c = draw(entries)
+        a[-1] = [f.add(x, f.mul(c, y)) for x, y in zip(a[0], a[1])]
+    return Matrix(f, a)
+
+
+@given(matrices(), st.data())
+def test_rref_nullspace_round_trips(m, data):
+    f = m.field
+    r, rk, pivots = rref(m)
+    ns = nullspace(m)
+    assert rk + ns.nrows == m.ncols
+    if ns.nrows:
+        assert not (m @ ns.transpose()).a.any()
+        assert rank(ns) == ns.nrows
+    assert rref(r) == (r, rk, pivots)
+    if rk == m.nrows:
+        # invertible row operations: permute, scale, add a multiple of a row
+        perm = data.draw(st.permutations(range(m.nrows)))
+        scales = [data.draw(st.integers(1, f.q - 1)) for _ in perm]
+        rows = [[f.mul(s, int(x)) for x in m.a[i]] for i, s in zip(perm, scales)]
+        c = data.draw(st.integers(0, f.q - 1))
+        if m.nrows > 1:
+            rows[0] = [f.add(x, f.mul(c, y)) for x, y in zip(rows[0], rows[-1])]
+        assert codes_equal(LinearCode(m), LinearCode(Matrix(f, rows)))
+        assert codes_equal(LinearCode(m), LinearCode(r))
 
 
 # ---------------------------------------------------------------------------
