@@ -180,7 +180,7 @@ def cmd_classify(args) -> int:
         payload = cls.to_json()
         payload["criteria_class"] = crit.kind
         payload["criteria"] = crit.to_json()
-        if crit.kind != cls.kind:
+        if any(holds != truth for _, holds, truth in crit.checks(cls)):
             print("counterexample: criteria disagree with brute force\n"
                   + json.dumps(cfg.to_json()), file=sys.stderr)
             return 1
@@ -257,13 +257,22 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _no_csv(args)
     if args.field:
         raise UsageError("verify takes its fields from --orders, not --field")
+    if args.max_n is not None and args.max_n < 3:
+        raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     fields = None
-    if args.orders:
-        fields = tuple(Field.from_order(int(tok))
-                       for tok in args.orders.split(","))
+    if args.orders is not None:
+        try:
+            orders = [int(tok) for tok in args.orders.split(",")]
+        except ValueError:
+            raise UsageError(f"bad --orders value {args.orders!r}") from None
+        if min(orders) < 3:
+            raise UsageError("--orders: field orders must be at least 3, "
+                             f"got {min(orders)}")
+        fields = tuple(Field.from_order(q) for q in orders)
     results = run_suites(names, fields=fields, max_n=args.max_n,
                          quick=args.quick)
     failed = [r for r in results if not r.passed]

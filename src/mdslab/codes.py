@@ -115,9 +115,6 @@ class LinearCode:
     def min_distance(self) -> int:
         return _min_weight(self.field, self.generator.a)
 
-    def singleton_defect(self) -> int:
-        return self.length - self.dimension + 1 - self.min_distance
-
 
 def _min_weight(field: Field, G: np.ndarray) -> int:
     """Minimum Hamming weight of the row space of G, by the cheaper exact method."""

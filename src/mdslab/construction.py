@@ -37,7 +37,7 @@ from .linalg import (
     Matrix,
     power_matrix,
     require_distinct,
-    second_elementary_symmetric,
+    symmetric_sums,
 )
 from .codes import (
     BadDimensionError,
@@ -175,13 +175,8 @@ def weighted_power_sum(field: Field, alphas: Sequence[int], ell: int) -> int:
         return 0
     if ell == n - 1:
         return 1
-    e1 = 0
-    for a in pts:
-        e1 = field.add(e1, a)
-    if ell == n:
-        return e1
-    e2 = second_elementary_symmetric(field, pts)
-    return field.sub(field.mul(e1, e1), e2)
+    e1, h2 = symmetric_sums(field, pts)
+    return e1 if ell == n else h2
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +263,8 @@ def extension_vector(cfg: EvalConfig) -> tuple[int, ...]:
     n = len(pts)
     u = lagrange_weights(f, pts)
     w = [f.mul(f.pow(a, n - k + 1), ui) for a, ui in zip(pts, u)]
-    e1 = 0
-    for a in pts:
-        e1 = f.add(e1, a)
-    e2 = second_elementary_symmetric(f, pts)
-    w.append(f.add(f.sub(cfg.delta, f.mul(e1, e1)), e2))
+    _, h2 = symmetric_sums(f, pts)
+    w.append(f.sub(cfg.delta, h2))
     return tuple(w)
 
 
@@ -289,15 +281,12 @@ def parity_check_matrix(cfg: EvalConfig) -> Matrix:
     vprime = [f.mul(ui, f.inv(vi)) for ui, vi in zip(u, cfg.v)]
     rows = n - k + 2
     block = _scaled_power_rows(f, pts, vprime, range(rows))
-    e1 = 0
-    for a in pts:
-        e1 = f.add(e1, a)
-    e2 = second_elementary_symmetric(f, pts)
+    e1, h2 = symmetric_sums(f, pts)
     tail = np.zeros((rows, 2), dtype=np.int16)
     if n - k - 1 >= 0:
         tail[n - k - 1, 0] = f.neg(1)
     tail[n - k, 0] = f.neg(e1)
-    tail[n - k + 1, 0] = f.add(f.sub(cfg.delta, f.mul(e1, e1)), e2)
+    tail[n - k + 1, 0] = f.sub(cfg.delta, h2)
     tail[n - k + 1, 1] = f.neg(1)
     return Matrix(f, np.hstack([block, tail]))
 

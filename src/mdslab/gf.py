@@ -282,9 +282,6 @@ class Field:
             raise ZeroDivisionError(f"inverse of 0 in {self.spec_string()}")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         # 0^0 = 1 so evaluation rows alpha^0 are all ones even when 0 is a node
         if a == 0:
@@ -374,14 +371,16 @@ class Field:
             _monic_modulus(p, 1, modulus)     # then drop it: see __init__
             modulus = None
         key = (p, m, tuple(modulus) if modulus is not None else None)
-        f = _FIELD_CACHE.get(key)
-        if f is None:
-            f = Field(p, m, modulus)
-            _FIELD_CACHE[key] = f
+        f = _FIELD_CACHE.pop(key, None) or Field(p, m, modulus)
+        _FIELD_CACHE[key] = f                 # most recently used last
+        if len(_FIELD_CACHE) > FIELD_CACHE_SIZE:
+            del _FIELD_CACHE[next(iter(_FIELD_CACHE))]
         return f
 
 
+# least recently used first; the bound holds the seven fields of `verify all`
 _FIELD_CACHE: dict[tuple, Field] = {}
+FIELD_CACHE_SIZE = 8
 
 _FIELD_RE = re.compile(r"gf\((\d+)(?:\^(\d+))?\)(?::([0-9,]+))?", re.IGNORECASE)
 

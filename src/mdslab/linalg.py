@@ -61,9 +61,6 @@ class Matrix:
     def ncols(self) -> int:
         return self.a.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i]
-
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in r] for r in self.a]
 
@@ -130,10 +127,6 @@ class Matrix:
         return cls(field, rows)
 
 
-def identity(field: Field, n: int) -> Matrix:
-    return Matrix(field, np.eye(n, dtype=np.int16))
-
-
 def power_matrix(field: Field, points: Sequence[int], exponents: Sequence[int]) -> Matrix:
     """Rows (alpha_1^e, ..., alpha_n^e) for each exponent e; 0^0 = 1."""
     rows = [[field.pow(a, e) for a in points] for e in exponents]
@@ -174,11 +167,6 @@ def rref(M: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     a = M.a.copy()
     pivots = _rref_inplace(M.field, a)
     return Matrix(M.field, a), len(pivots), pivots
-
-
-def rank(M: Matrix) -> int:
-    a = M.a.copy()
-    return len(_rref_inplace(M.field, a))
 
 
 def det(M: Matrix) -> int:
@@ -226,26 +214,17 @@ def nullspace(M: Matrix) -> Matrix:
 # symmetric functions and the two Vandermonde-variant determinants
 # ---------------------------------------------------------------------------
 
-def second_elementary_symmetric(field: Field, values: Sequence[int]) -> int:
-    """e2 = sum over i<j of a_i*a_j.
+def symmetric_sums(field: Field, values: Sequence[int]) -> tuple[int, int]:
+    """(e1, h2): the sum, and h2 = e1^2 - e2 = sum over i <= j of a_i*a_j.
 
-    In odd characteristic this is ((sum)^2 - sum of squares)/2; division by 2
-    does not exist in characteristic 2, so there the pairwise sum is direct.
+    Adding a value x adds x * e1 (with x counted in e1) to h2, which holds in
+    every characteristic.
     """
-    vals = [int(a) for a in values]
-    if field.p == 2:
-        e2 = 0
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                e2 = field.add(e2, field.mul(vals[i], vals[j]))
-        return e2
-    s = 0
-    sq = 0
-    for a in vals:
-        s = field.add(s, a)
-        sq = field.add(sq, field.mul(a, a))
-    half = field.inv(field.add(1, 1))
-    return field.mul(field.sub(field.mul(s, s), sq), half)
+    e1 = h2 = 0
+    for x in values:
+        e1 = field.add(e1, x)
+        h2 = field.add(h2, field.mul(x, e1))
+    return e1, h2
 
 
 def _pairwise_difference_product(field: Field, points: Sequence[int]) -> int:
@@ -264,22 +243,17 @@ def vandermonde_det_skip_penultimate(field: Field, points: Sequence[int]) -> int
     pts = require_distinct(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    s = 0
-    for a in pts:
-        s = field.add(s, a)
-    return field.mul(s, _pairwise_difference_product(field, pts))
+    e1, _ = symmetric_sums(field, pts)
+    return field.mul(e1, _pairwise_difference_product(field, pts))
 
 
 def vandermonde_det_skip_two(field: Field, points: Sequence[int]) -> int:
     """det of the matrix with power rows 0..n-2 and n+1 (rows n-1, n dropped).
 
-    Closed form: ((sum)^2 - e2) times the pairwise difference product.
+    Closed form: h2 = (sum)^2 - e2, times the pairwise difference product.
     """
     pts = require_distinct(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    s = 0
-    for a in pts:
-        s = field.add(s, a)
-    coef = field.sub(field.mul(s, s), second_elementary_symmetric(field, pts))
-    return field.mul(coef, _pairwise_difference_product(field, pts))
+    _, h2 = symmetric_sums(field, pts)
+    return field.mul(h2, _pairwise_difference_product(field, pts))

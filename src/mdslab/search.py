@@ -171,7 +171,7 @@ def _draw_rejecting_repeats(rng: random.Random, total: int, size: int) -> list[i
     return list(chosen)
 
 
-def _point_sets(job: SearchJob) -> Iterator[tuple[int, ...]]:
+def point_sets(job: SearchJob) -> Iterator[tuple[int, ...]]:
     if job.subsets is not None:
         yield from job.subsets
         return
@@ -192,7 +192,7 @@ def _point_sets(job: SearchJob) -> Iterator[tuple[int, ...]]:
 def iter_configs(job: SearchJob) -> Iterator[EvalConfig]:
     """Canonical visit order: node set, then k, then delta, all ascending."""
     deltas = job.delta_list()
-    for pts in _point_sets(job):
+    for pts in point_sets(job):
         for k in job.k_values:
             for delta in deltas:
                 yield EvalConfig.ones(job.field, pts, k, delta)

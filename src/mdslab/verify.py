@@ -5,16 +5,16 @@ reports it as a reproducible JSON blob.  The default scope covers field orders
 4, 5, 7, 8, 9 with node sets up to size 7 and k capped at 5; --quick trims to
 orders 4, 5, 7 and size 5.
 
-The four criterion suites (mds, amds, dual-amds, nmds) are filters over one
-sweep: each config is built, scanned and classified once, every requested
-suite checks its verdict against the Criteria record's rule and stops counting
-at its own first counterexample, and the sweep ends when no suite is live.
+The six per-config suites (parity, extend, mds, amds, dual-amds, nmds) are
+filters over one sweep in search's canonical order: each config is built once
+for parity and extend and scanned and classified once for the criterion
+suites, every requested suite stops counting at its own first counterexample,
+and the sweep ends when no suite is live.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +48,7 @@ from .construction import (
     parity_check_matrix,
     weighted_power_sum,
 )
+from .search import SearchJob, iter_configs, point_sets
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .construction import (  # noqa: F401
     amds_criterion,
@@ -65,6 +66,7 @@ MAX_SWEEP_K = 5
 SUITE_NAMES = ("powersum", "det", "parity", "extend",
                "mds", "amds", "dual-amds", "nmds", "schur")
 CRITERION_SUITES = ("mds", "amds", "dual-amds", "nmds")
+SWEEP_SUITES = ("parity", "extend") + CRITERION_SUITES
 
 
 @dataclass
@@ -81,32 +83,27 @@ class SuiteResult:
                 "detail": self.detail}
 
 
-def point_sets(field: Field, max_n: int) -> Iterator[tuple[int, ...]]:
-    for n in range(3, min(field.q, max_n) + 1):
-        yield from itertools.combinations(range(field.q), n)
+def sweep_jobs(fields: Sequence[Field], max_n: int) -> list[SearchJob]:
+    """The all-ones sweep as search jobs: every node set of size
+    3 <= n <= max_n, 3 <= k <= min(n, 5), every delta."""
+    return [SearchJob(f, n, tuple(range(3, min(n, MAX_SWEEP_K) + 1)))
+            for f in fields for n in range(3, min(f.q, max_n) + 1)]
 
 
 def sweep_configs(fields: Sequence[Field], max_n: int) -> Iterator[EvalConfig]:
-    """All-ones sweep: every node set, 3 <= k <= min(n, 5), every delta."""
-    for f in fields:
-        for pts in point_sets(f, max_n):
-            for k in range(3, min(len(pts), MAX_SWEEP_K) + 1):
-                for delta in f.elements():
-                    yield EvalConfig.ones(f, pts, k, delta)
+    for job in sweep_jobs(fields, max_n):
+        yield from iter_configs(job)
 
 
 def sweep_size(fields: Sequence[Field], max_n: int) -> int:
-    total = 0
-    for f in fields:
-        for n in range(3, min(f.q, max_n) + 1):
-            total += math.comb(f.q, n) * (min(n, MAX_SWEEP_K) - 2) * f.q
-    return total
+    return sum(job.planned_count() for job in sweep_jobs(fields, max_n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def classified(cfg: EvalConfig) -> Classification:
     """Oracle classification, cached so that separate criterion checks over
-    the same scope classify each config once."""
+    one scope classify each config once.  The bound holds the 1462-config
+    acceptance sweep and keeps longer sweeps from growing the cache."""
     return classify(family_code(cfg))
 
 
@@ -116,8 +113,9 @@ def classified(cfg: EvalConfig) -> Classification:
 
 def check_powersum(fields: Sequence[Field], max_n: int) -> SuiteResult:
     checked = 0
-    for f in fields:
-        for pts in point_sets(f, max_n):
+    for job in sweep_jobs(fields, max_n):
+        f = job.field
+        for pts in point_sets(job):
             u = lagrange_weights(f, pts)
             for ell in range(len(pts) + 2):
                 direct = 0
@@ -152,79 +150,84 @@ def check_det(fields: Sequence[Field] | None = None,
     return SuiteResult("det", True, checked)
 
 
-def check_parity(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    checked = 0
-    for cfg in sweep_configs(fields, max_n):
+def _parity_fault(cfg: EvalConfig, fam: LinearCode) -> str | None:
+    """Why parity_check_matrix(cfg) is not a parity-check matrix of fam."""
+    H = parity_check_matrix(cfg)
+    if (fam.generator @ H.transpose()).a.any():
+        return "G.H^T != 0"
+    if H.shape != (cfg.n - cfg.k + 2, cfg.n + 2):
+        return "bad shape"
+    if not codes_equal(LinearCode(H), fam.dual):
+        return "row space is not the dual"
+    return None
+
+
+def _counterexamples(cfg: EvalConfig, live: dict[str, int]) -> dict[str, dict]:
+    """The counterexample of every live suite that cfg breaks."""
+    out = {}
+    if "parity" in live or "extend" in live:
         fam = family_code(cfg)
-        H = parity_check_matrix(cfg)
-        checked += 1
-        if (fam.generator @ H.transpose()).a.any():
-            return SuiteResult("parity", False, checked,
-                               {"config": cfg.to_json(), "reason": "G.H^T != 0"})
-        if H.shape != (cfg.n - cfg.k + 2, cfg.n + 2):
-            return SuiteResult("parity", False, checked,
-                               {"config": cfg.to_json(), "reason": "bad shape"})
-        if not codes_equal(LinearCode(H), fam.dual):
-            return SuiteResult("parity", False, checked,
-                               {"config": cfg.to_json(),
-                                "reason": "row space is not the dual"})
-    return SuiteResult("parity", True, checked)
+        if "parity" in live and (reason := _parity_fault(cfg, fam)):
+            out["parity"] = {"config": cfg.to_json(), "reason": reason}
+        if "extend" in live:
+            base = gapped_grs_one_column_code(cfg.field, cfg.alphas, cfg.k)
+            if not codes_equal(extend_code(base, extension_vector(cfg)), fam):
+                out["extend"] = {"config": cfg.to_json()}
+    if live.keys() & CRITERION_SUITES:
+        cls = classified(cfg)
+        for name, holds, truth in criteria(cfg).checks(cls):
+            suite = name.replace("_", "-")
+            if suite in live and holds != truth:
+                out[suite] = {
+                    "config": cfg.to_json(), "criterion_holds": holds,
+                    "class": cls.kind, "singleton_defect": cls.singleton_defect,
+                    "dual_defect": cls.dual_defect}
+    return out
 
 
-def check_extend(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    checked = 0
-    for cfg in sweep_configs(fields, max_n):
-        base = gapped_grs_one_column_code(cfg.field, cfg.alphas, cfg.k)
-        extended = extend_code(base, extension_vector(cfg))
-        checked += 1
-        if not codes_equal(extended, family_code(cfg)):
-            return SuiteResult("extend", False, checked,
-                               {"config": cfg.to_json()})
-    return SuiteResult("extend", True, checked)
+def sweep(fields: Sequence[Field], max_n: int,
+          suites: Sequence[str]) -> dict[str, SuiteResult]:
+    """One walk checking the per-config suites named, keyed by suite name.
 
-
-def sweep_criteria(fields: Sequence[Field], max_n: int,
-                   suites: Sequence[str]) -> dict[str, SuiteResult]:
-    """One sweep checking the criterion suites named, keyed by suite name.
-
-    A suite counts each config until its verdict breaks the Criteria rule on
-    the oracle's classification; that config is its counterexample.
+    A suite counts each config up to and including its own first
+    counterexample; the walk ends when no suite is live.
     """
     live = dict.fromkeys(suites, 0)         # suite -> configs checked
     results = {}
     for cfg in sweep_configs(fields, max_n):
         if not live:
             break
-        cls = classified(cfg)
-        for name, holds, truth in criteria(cfg).checks(cls):
-            suite = name.replace("_", "-")
-            if suite not in live:
-                continue
+        for suite in live:
             live[suite] += 1
-            if holds != truth:
-                results[suite] = SuiteResult(suite, False, live.pop(suite), {
-                    "config": cfg.to_json(), "criterion_holds": holds,
-                    "class": cls.kind, "singleton_defect": cls.singleton_defect,
-                    "dual_defect": cls.dual_defect})
+        for suite, found in _counterexamples(cfg, live).items():
+            results[suite] = SuiteResult(suite, False, live.pop(suite), found)
     for suite, checked in live.items():
         results[suite] = SuiteResult(suite, True, checked)
     return results
 
 
+def check_parity(fields: Sequence[Field], max_n: int) -> SuiteResult:
+    return sweep(fields, max_n, ("parity",))["parity"]
+
+
+def check_extend(fields: Sequence[Field], max_n: int) -> SuiteResult:
+    return sweep(fields, max_n, ("extend",))["extend"]
+
+
 def check_mds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return sweep_criteria(fields, max_n, ("mds",))["mds"]
+    return sweep(fields, max_n, ("mds",))["mds"]
 
 
 def check_amds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return sweep_criteria(fields, max_n, ("amds",))["amds"]
+    return sweep(fields, max_n, ("amds",))["amds"]
 
 
 def check_dual_amds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return sweep_criteria(fields, max_n, ("dual-amds",))["dual-amds"]
+    return sweep(fields, max_n, ("dual-amds",))["dual-amds"]
 
 
 def check_nmds(fields: Sequence[Field], max_n: int) -> SuiteResult:
-    return sweep_criteria(fields, max_n, ("nmds",))["nmds"]
+    return sweep(fields, max_n, ("nmds",))["nmds"]
 
 
 def check_schur(quick: bool = False) -> SuiteResult:
@@ -239,9 +242,7 @@ def check_schur(quick: bool = False) -> SuiteResult:
             for pts in sets:
                 vees = [(1,) * N, tuple(rng.randrange(1, q) for _ in range(N))]
                 for v in vees:
-                    for k in itertools.count(3):
-                        if 2 * k >= N + 1:
-                            break
+                    for k in range(3, N // 2 + 1):
                         sq = schur_square(grs_code(f, pts, v, k))
                         checked += 1
                         if sq.dimension != 2 * k - 1:
@@ -254,22 +255,17 @@ def check_schur(quick: bool = False) -> SuiteResult:
                                 "field": f.spec_string(), "A": list(pts),
                                 "v": list(v), "k": k,
                                 "square_distance": sq.min_distance})
-    low_rate = [(11, tuple(range(7)), 3), (8, (0, 1, 2, 3, 4, 5), 3)]
-    high_rate = [(9, (0, 1, 2, 3, 4, 5), 5), (8, (0, 1, 2, 3, 4, 5), 5)]
-    if quick:
-        low_rate, high_rate = low_rate[:1], high_rate[:1]
-    for q, pts, k in low_rate:
+    # (q, nodes, k, certificate): low rates by the square's dimension 2k,
+    # high rates by the dual square's distance; --quick keeps one of each
+    certified = [(11, tuple(range(7)), 3, ("SquareDimension", 6)),
+                 (8, (0, 1, 2, 3, 4, 5), 3, ("SquareDimension", 6)),
+                 (9, (0, 1, 2, 3, 4, 5), 5, ("DualSquareDistance", 1)),
+                 (8, (0, 1, 2, 3, 4, 5), 5, ("DualSquareDistance", 1))]
+    for q, pts, k, (method, evidence) in certified[::2] if quick else certified:
         cfg = EvalConfig.ones(Field.from_order(q), pts, k, 1)
         rep = non_grs_certificate(cfg)
         checked += 1
-        if (rep.verdict, rep.method, rep.evidence) != (NON_GRS, "SquareDimension", 2 * k):
-            return SuiteResult("schur", False, checked,
-                               {"config": cfg.to_json(), "report": rep.to_json()})
-    for q, pts, k in high_rate:
-        cfg = EvalConfig.ones(Field.from_order(q), pts, k, 1)
-        rep = non_grs_certificate(cfg)
-        checked += 1
-        if (rep.verdict, rep.method, rep.evidence) != (NON_GRS, "DualSquareDistance", 1):
+        if (rep.verdict, rep.method, rep.evidence) != (NON_GRS, method, evidence):
             return SuiteResult("schur", False, checked,
                                {"config": cfg.to_json(), "report": rep.to_json()})
     return SuiteResult("schur", True, checked)
@@ -281,7 +277,7 @@ def check_schur(quick: bool = False) -> SuiteResult:
 
 def run_suites(names: Sequence[str], fields: Sequence[Field] | None = None,
                max_n: int | None = None, quick: bool = False) -> list[SuiteResult]:
-    """Results of the named suites, in the order named; the criterion suites
+    """Results of the named suites, in the order named; the per-config suites
     among them share one sweep."""
     unknown = [name for name in names if name not in SUITE_NAMES]
     if unknown:
@@ -295,10 +291,8 @@ def run_suites(names: Sequence[str], fields: Sequence[Field] | None = None,
         "powersum": lambda: check_powersum(sweep_fields, max_n),
         "det": lambda: check_det(fields=fields,
                                  sizes=(3, 4) if quick else (3, 4, 5)),
-        "parity": lambda: check_parity(sweep_fields, max_n),
-        "extend": lambda: check_extend(sweep_fields, max_n),
         "schur": lambda: check_schur(quick=quick),
     }
-    swept = sweep_criteria(sweep_fields, max_n,
-                           [name for name in names if name in CRITERION_SUITES])
+    swept = sweep(sweep_fields, max_n,
+                  [name for name in names if name in SWEEP_SUITES])
     return [swept[name] if name in swept else suites[name]() for name in names]

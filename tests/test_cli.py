@@ -488,6 +488,23 @@ def test_verify_cli_refuses_field(capsys):
     assert err == "error: verify takes its fields from --orders, not --field\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "mds", "--orders", "5", "--max-n", "2"],
+     "--max-n must be at least 3, got 2"),
+    (["verify", "mds", "--orders", "5", "--max-n", "-3"],
+     "--max-n must be at least 3, got -3"),
+    (["verify", "mds", "--orders", "2", "--max-n", "4"],
+     "--orders: field orders must be at least 3, got 2"),
+    (["verify", "mds", "--orders", "5,x"], "bad --orders value '5,x'"),
+    (["verify", "mds", "--orders", ""], "bad --orders value ''"),
+    (["verify", "powersum", "--quick", "--format", "csv"],
+     "format csv applies to the search subcommand only"),
+])
+def test_verify_cli_input_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_cli_golden_quick_json(capsys):
     """`verify all --quick --format json` is byte-identical to the output
     recorded from the four separate criterion sweeps."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mdslab.gf import Field
-from mdslab.linalg import Matrix, power_matrix, rank
+from mdslab.linalg import Matrix, power_matrix, rref
 from mdslab.codes import (
     AMDS_ONLY_DUAL,
     ENUMERATION_CAP,
@@ -82,7 +82,7 @@ def column_rank_kind(code: LinearCode) -> str | None:
     cols = list(range(N))
 
     def sub_rank(sel: tuple[int, ...]) -> int:
-        return rank(Matrix(code.field, G.a[:, list(sel)]))
+        return rref(Matrix(code.field, G.a[:, list(sel)]))[1]
 
     every_k_full = all(sub_rank(s) == k for s in itertools.combinations(cols, k))
     if every_k_full:
@@ -374,7 +374,7 @@ def test_extend_code_mechanics():
 
 def test_extend_by_dual_row_keeps_distance():
     c = EXAMPLE1
-    w = [int(x) for x in c.dual.generator.row(0)]
+    w = [int(x) for x in c.dual.generator.a[0]]
     ext = extend_code(c, w)
     assert ext.min_distance == c.min_distance
     # appended coordinate is identically zero

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mdslab import gf
 from mdslab.gf import (
     Field,
     NonPrimeError,
@@ -91,15 +91,10 @@ def test_tables_match_golden_digest():
     assert table_digest(fields()) == GOLDEN_TABLES_SHA256
 
 
-@functools.lru_cache(maxsize=4)
-def uncached_field(p: int, m: int) -> Field:
-    """Field(p, m) outside the library's unbounded from_order cache."""
-    return Field(p, m)
-
-
 @st.composite
 def field_elements(draw):
-    f = uncached_field(*draw(st.sampled_from(PRIME_POWERS)))
+    p, m = draw(st.sampled_from(PRIME_POWERS))
+    f = Field.from_order(p**m)
     a, b, c = (draw(st.integers(0, f.q - 1)) for _ in range(3))
     return f, a, b, c
 
@@ -310,6 +305,23 @@ def test_prime_field_ignores_its_linear_modulus():
         Field.from_order(7, (3, 1, 5))                 # still checked
     with pytest.raises(ValueError):
         Field.from_order(7, (3, 2))
+
+
+def test_field_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    # the seven fields of `verify all` fit, so no run rebuilds one midway
+    assert gf.FIELD_CACHE_SIZE >= len({4, 5, 7, 8, 9, 11, 13})
+    orders = SMALL_ORDERS[:gf.FIELD_CACHE_SIZE + 1]
+    fields = [Field.from_order(q) for q in orders]
+    assert len(gf._FIELD_CACHE) == gf.FIELD_CACHE_SIZE
+    assert Field.from_order(orders[1]) is fields[1]      # kept, now most recent
+    rebuilt = Field.from_order(orders[0])               # least recent: evicted
+    assert rebuilt is not fields[0] and rebuilt == fields[0]
+    for table in ("add_table", "sub_table", "mul_table", "inv_table", "exp", "log"):
+        assert np.array_equal(getattr(rebuilt, table), getattr(fields[0], table))
+    assert Field.from_order(orders[1]) is fields[1]      # outlived orders[2]
+    assert Field.from_order(orders[2]) is not fields[2]
+    assert len(gf._FIELD_CACHE) == gf.FIELD_CACHE_SIZE
 
 
 def test_cap_boundary_field_smoke():

@@ -15,17 +15,23 @@ from mdslab.linalg import (
     Matrix,
     NotSquareError,
     det,
-    identity,
     nullspace,
     power_matrix,
-    rank,
     rref,
-    second_elementary_symmetric,
+    symmetric_sums,
     vandermonde_det_skip_penultimate,
     vandermonde_det_skip_two,
 )
 
 GF7 = Field.from_order(7)
+
+
+def identity(f: Field, n: int) -> Matrix:
+    return Matrix(f, np.eye(n, dtype=np.int16))
+
+
+def rank(M: Matrix) -> int:
+    return rref(M)[1]
 
 
 def cofactor_det(f: Field, rows: list[list[int]]) -> int:
@@ -299,17 +305,17 @@ def test_vandermonde_det_errors():
         vandermonde_det_skip_two(GF7, (1, 2))
 
 
-def test_second_elementary_symmetric_routes_agree():
-    # the /2 shortcut (odd characteristic) against the definitional double loop
+def test_symmetric_sums_match_the_double_sum():
+    # the one-pass recurrence against the definitions, in characteristics
+    # 2, 3 and 7, with repeated values and the empty list included
     rng = np.random.default_rng(23)
-    for q in (7, 9, 25):
+    for q in (4, 7, 8, 9):
         f = Field.from_order(q)
-        for size in (2, 3, 5, 6):
+        for size in (0, 1, 2, 3, 5, 6):
             vals = [int(x) for x in rng.integers(0, q, size=size)]
-            direct = 0
+            e1 = h2 = 0
             for i in range(size):
-                for j in range(i + 1, size):
-                    direct = f.add(direct, f.mul(vals[i], vals[j]))
-            assert second_elementary_symmetric(f, vals) == direct
-    f4 = Field.from_order(4)
-    assert second_elementary_symmetric(f4, [2, 3]) == f4.mul(2, 3)
+                e1 = f.add(e1, vals[i])
+                for j in range(i, size):
+                    h2 = f.add(h2, f.mul(vals[i], vals[j]))
+            assert symmetric_sums(f, vals) == (e1, h2)

@@ -1,16 +1,19 @@
-"""The criterion sweep of verify: one scan and one classification per config,
-each suite stopping at its own first counterexample."""
+"""The per-config sweep of verify: one build, one scan and one classification
+per config, each suite stopping at its own first counterexample."""
 
 from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from mdslab import verify
 from mdslab.codes import AMDS_ONLY_PRIMAL, MDS, NMDS
-from mdslab.construction import EvalConfig
+from mdslab.construction import EvalConfig, extension_vector, parity_check_matrix
 from mdslab.gf import Field
 from mdslab.verify import (
     CRITERION_SUITES,
+    SWEEP_SUITES,
     SuiteResult,
     run_suites,
     sweep_configs,
@@ -34,6 +37,27 @@ def misclassify_chosen(monkeypatch, **wrong) -> None:
         cls = classified(cfg)
         return dataclasses.replace(cls, **wrong) if cfg == CHOSEN else cls
     monkeypatch.setattr(verify, "classified", faulty)
+
+
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """Every config verify.family_code builds during the test, in order."""
+    log = []
+    family_code = verify.family_code
+
+    def logged(cfg):
+        log.append(cfg)
+        return family_code(cfg)
+    monkeypatch.setattr(verify, "family_code", logged)
+    return log
+
+
+def other_delta_at_chosen(build):
+    """build, but given CHOSEN it builds for delta = 1 instead: a wrong
+    parity-check matrix (G.H^T != 0) or a wrong extension vector."""
+    def faulty(cfg):
+        return build(dataclasses.replace(cfg, delta=1) if cfg == CHOSEN else cfg)
+    return faulty
 
 
 def test_chosen_config_position():
@@ -74,13 +98,65 @@ def test_wrong_classification_fails_only_the_affected_suites(monkeypatch):
     assert verify.check_nmds(FIELDS, MAX_N) == results[3]
 
 
-def test_sweep_ends_when_every_suite_has_failed(monkeypatch, scanned):
+def test_parity_and_extend_build_each_config_once(built):
+    results = run_suites(["extend", "parity"], fields=FIELDS, max_n=MAX_N)
+    assert results == [SuiteResult("extend", True, SWEEP_COUNT),
+                       SuiteResult("parity", True, SWEEP_COUNT)]
+    assert built == list(sweep_configs(FIELDS, MAX_N))
+
+
+def test_wrong_parity_check_fails_only_parity(monkeypatch):
+    monkeypatch.setattr(verify, "parity_check_matrix",
+                        other_delta_at_chosen(parity_check_matrix))
+    results = run_suites(SWEEP_SUITES, fields=FIELDS, max_n=MAX_N)
+    assert results == [
+        SuiteResult("parity", False, CHOSEN_POSITION,
+                    {"config": CHOSEN_JSON, "reason": "G.H^T != 0"}),
+    ] + [SuiteResult(suite, True, SWEEP_COUNT) for suite in SWEEP_SUITES[1:]]
+    assert verify.check_parity(FIELDS, MAX_N) == results[0]
+
+
+def test_sweep_ends_when_every_suite_has_failed(monkeypatch, scanned, built):
+    verify.classified.cache_clear()         # so classified builds what it sees
     # reported NMDS, every one of the four verdicts breaks the rule
     misclassify_chosen(monkeypatch, kind=NMDS, singleton_defect=1,
                        dual_defect=1, min_distance=2, dual_min_distance=3)
-    results = run_suites(CRITERION_SUITES, fields=FIELDS, max_n=MAX_N)
+    monkeypatch.setattr(verify, "parity_check_matrix",
+                        other_delta_at_chosen(parity_check_matrix))
+    monkeypatch.setattr(verify, "extension_vector",
+                        other_delta_at_chosen(extension_vector))
+    results = run_suites(SWEEP_SUITES, fields=FIELDS, max_n=MAX_N)
     assert [(r.suite, r.passed, r.checked) for r in results] == [
-        (suite, False, CHOSEN_POSITION) for suite in CRITERION_SUITES]
-    assert [r.counterexample["criterion_holds"] for r in results] == [
+        (suite, False, CHOSEN_POSITION) for suite in SWEEP_SUITES]
+    assert results[:2] == [
+        SuiteResult("parity", False, CHOSEN_POSITION,
+                    {"config": CHOSEN_JSON, "reason": "G.H^T != 0"}),
+        SuiteResult("extend", False, CHOSEN_POSITION, {"config": CHOSEN_JSON}),
+    ]
+    assert [r.counterexample["criterion_holds"] for r in results[2:]] == [
         True, False, False, False]
     assert len(scanned) == CHOSEN_POSITION
+    # one build shared by parity and extend, one inside classified
+    assert len(built) == 2 * CHOSEN_POSITION
+
+
+def test_classified_cache_is_bounded(monkeypatch):
+    # stubbed classification: the test is about the cache, not the oracle
+    monkeypatch.setattr(verify, "family_code", lambda cfg: None)
+    monkeypatch.setattr(verify, "classify", lambda code: None)
+    acceptance = list(sweep_configs(
+        [Field.from_order(q) for q in (4, 5, 7)], 6))
+    verify.classified.cache_clear()
+    try:
+        for _ in range(2):
+            for cfg in acceptance:
+                verify.classified(cfg)
+        info = verify.classified.cache_info()
+        # the 1462-config acceptance sweep fits: its second pass only hits
+        assert (info.hits, info.misses) == (1462, 1462)
+        assert info.maxsize is not None
+        for cfg in sweep_configs([Field.from_order(9)], 6):
+            verify.classified(cfg)
+        assert verify.classified.cache_info().currsize == info.maxsize
+    finally:
+        verify.classified.cache_clear()
