@@ -71,29 +71,43 @@ def _element_list(field: Field, text: str, what: str) -> tuple[int, ...]:
     return tuple(field.parse_element(t) for t in toks)
 
 
-def _config_from_args(args) -> EvalConfig:
+def _config_parts(args) -> tuple[Field, tuple[int, ...], tuple[int, ...], int,
+                                 int | None]:
+    """(field, nodes, v, k, delta) from --config or from the flags; delta is
+    None when the flags give no --delta."""
     if args.config:
         if args.points:
             raise UsageError("give either --config or --points, not both")
         with open(args.config) as fh:
-            return EvalConfig.from_json(json.load(fh))
+            cfg = EvalConfig.from_json(json.load(fh))
+        return cfg.field, cfg.alphas, cfg.v, cfg.k, cfg.delta
     field = _require_field(args)
     if not args.points:
         raise UsageError("missing --points (or --config)")
     if args.k is None:
         raise UsageError("missing --k")
-    if args.delta is None:
-        raise UsageError("missing --delta")
     alphas = _element_list(field, args.points, "--points")
-    v = (1,) * len(alphas)
-    if getattr(args, "v", None):
-        v = _element_list(field, args.v, "--v")
-    return EvalConfig(field, alphas, v, args.k, field.parse_element(args.delta))
+    v = _element_list(field, args.v, "--v") if args.v else (1,) * len(alphas)
+    delta = None if args.delta is None else field.parse_element(args.delta)
+    return field, alphas, v, args.k, delta
 
 
-def _no_csv(args) -> None:
-    if args.format == "csv":
-        raise UsageError("format csv applies to the search subcommand only")
+def _config_from_args(args) -> EvalConfig:
+    field, alphas, v, k, delta = _config_parts(args)
+    if delta is None:
+        raise UsageError("missing --delta")
+    return EvalConfig(field, alphas, v, k, delta)
+
+
+def _code_from_args(args) -> tuple[LinearCode, EvalConfig | None]:
+    """The code of --matrix, or the family code of the config; the config is
+    None for --matrix."""
+    if args.matrix:
+        if args.config or args.points:
+            raise UsageError("--matrix excludes --config and --points")
+        return LinearCode(Matrix.parse(_require_field(args), args.matrix)), None
+    cfg = _config_from_args(args)
+    return family_code(cfg), cfg
 
 
 def _report_line(name: str, rep) -> str:
@@ -107,52 +121,42 @@ def _report_line(name: str, rep) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# --which -> (builder, the flags it reads besides --field, --points and --k);
+# the builders take those flags as keyword arguments of the same name, and
+# gk builds from an EvalConfig instead
+FAMILIES = {
+    "gk": (None, ("v", "delta")),
+    "g1": (grs_two_column_code, ("delta",)),
+    "g2": (grs_three_column_code, ("delta", "tau", "pi")),
+    "g3": (gapped_grs_code, ()),
+    "g4": (gapped_grs_one_column_code, ()),
+    "grs": (grs_code, ("v",)),
+}
+
+
 def cmd_construct(args) -> int:
-    _no_csv(args)
     which = args.which
+    builder, reads = FAMILIES[which]
+    for name in ("v", "tau", "pi"):
+        if getattr(args, name) is not None and name not in reads:
+            raise UsageError(f"--{name} does not apply to --which {which}")
     if args.parity_check and which != "gk":
         raise UsageError("--parity-check only applies to the gk family")
-    if which == "gk":
+    if builder is None:
         cfg = _config_from_args(args)
-        gen = family_code(cfg).generator
-        out = {"generator": gen.format()}
+        out = {"generator": family_code(cfg).generator.format()}
         if args.parity_check:
             out["parity_check"] = parity_check_matrix(cfg).format()
     else:
-        if args.config:
-            obj = json.loads(Path(args.config).read_text())
-            cfg_like = EvalConfig.from_json(obj)
-            field, pts, k = cfg_like.field, cfg_like.alphas, cfg_like.k
-            delta, v = cfg_like.delta, cfg_like.v
-        else:
-            field = _require_field(args)
-            if not args.points:
-                raise UsageError("missing --points (or --config)")
-            if args.k is None:
-                raise UsageError("missing --k")
-            pts = _element_list(field, args.points, "--points")
-            k = args.k
-            delta = field.parse_element(args.delta) if args.delta is not None else None
-            v = (_element_list(field, args.v, "--v")
-                 if getattr(args, "v", None) else (1,) * len(pts))
-        if which == "g1":
-            if delta is None:
-                raise UsageError("missing --delta")
-            code = grs_two_column_code(field, pts, k, delta)
-        elif which == "g2":
-            if delta is None:
-                raise UsageError("missing --delta")
-            if args.tau is None or args.pi is None:
-                raise UsageError("g2 needs --tau and --pi")
-            code = grs_three_column_code(field, pts, k, delta,
-                                         field.parse_element(args.tau),
-                                         field.parse_element(args.pi))
-        elif which == "g3":
-            code = gapped_grs_code(field, pts, k)
-        elif which == "g4":
-            code = gapped_grs_one_column_code(field, pts, k)
-        else:
-            code = grs_code(field, pts, v, k)
+        field, alphas, v, k, delta = _config_parts(args)
+        values = {"v": v, "delta": delta}
+        for name in ("tau", "pi"):
+            text = getattr(args, name)
+            values[name] = None if text is None else field.parse_element(text)
+        missing = [f"--{name}" for name in reads if values[name] is None]
+        if missing:
+            raise UsageError("missing " + " and ".join(missing))
+        code = builder(field, alphas, k=k, **{name: values[name] for name in reads})
         out = {"generator": code.generator.format()}
     if args.format == "json":
         _emit(json.dumps(out, indent=2), args)
@@ -165,19 +169,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _no_csv(args)
-    if args.matrix:
-        if args.config or args.points:
-            raise UsageError("--matrix excludes --config and --points")
-        field = _require_field(args)
-        cls = classify(LinearCode(Matrix.parse(field, args.matrix)))
-        payload = cls.to_json()
-        crit = None
-    else:
-        cfg = _config_from_args(args)
-        cls = classify(family_code(cfg))
+    code, cfg = _code_from_args(args)
+    cls = classify(code)
+    payload = cls.to_json()
+    crit = None
+    if cfg is not None:
         crit = criteria(cfg)
-        payload = cls.to_json()
         payload["criteria_class"] = crit.kind
         payload["criteria"] = crit.to_json()
         if any(holds != truth for _, holds, truth in crit.checks(cls)):
@@ -199,15 +196,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    _no_csv(args)
-    if args.matrix:
-        if args.config or args.points:
-            raise UsageError("--matrix excludes --config and --points")
-        field = _require_field(args)
-        code = LinearCode(Matrix.parse(field, args.matrix))
-    else:
-        code = family_code(_config_from_args(args))
-    rep = grs_consistency_test(code)
+    rep = grs_consistency_test(_code_from_args(args)[0])
     if args.format == "json":
         _emit(json.dumps(rep.to_json(), indent=2), args)
     else:
@@ -257,9 +246,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _no_csv(args)
-    if args.field:
-        raise UsageError("verify takes its fields from --orders, not --field")
     if args.max_n is not None and args.max_n < 3:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -293,51 +279,57 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage block and exit,
+    so a bad flag is reported like any other bad input: one line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _output_flags(*formats: str) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--format", choices=formats, default="text")
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", help="field spec, e.g. gf(7) or gf(2^3):1,1,0,1")
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--jobs", type=int, default=1)
+    out = _output_flags("text", "json")
 
     src = argparse.ArgumentParser(add_help=False)
+    src.add_argument("--field", help="field spec, e.g. gf(7) or gf(2^3):1,1,0,1")
     src.add_argument("--config", help="EvalConfig JSON file")
     src.add_argument("--points", help="comma-separated node list, e.g. 0,1,g^2")
     src.add_argument("--v", help="comma-separated column multipliers")
     src.add_argument("--k", type=int)
     src.add_argument("--delta")
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mdslab",
         description="Build, classify, and search a family of gapped "
                     "evaluation codes over small finite fields.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("construct", parents=[common, src],
+    pc = sub.add_parser("construct", parents=[out, src],
                         help="print a generator matrix")
-    pc.add_argument("--which", choices=("gk", "g1", "g2", "g3", "g4", "grs"),
-                    default="gk")
+    pc.add_argument("--which", choices=tuple(FAMILIES), default="gk")
     pc.add_argument("--tau", help="g2 only")
     pc.add_argument("--pi", help="g2 only")
     pc.add_argument("--parity-check", action="store_true",
                     help="also print the parity-check matrix (gk only)")
     pc.set_defaults(func=cmd_construct)
 
-    pl = sub.add_parser("classify", parents=[common, src],
-                        help="distances, defects, and class of a code")
-    pl.add_argument("--matrix", help="raw generator, rows ';' entries ','")
-    pl.set_defaults(func=cmd_classify)
+    for name, func, help_text in (
+            ("classify", cmd_classify, "distances, defects, and class of a code"),
+            ("schur", cmd_schur, "GRS consistency screen via Schur squares")):
+        pl = sub.add_parser(name, parents=[out, src], help=help_text)
+        pl.add_argument("--matrix", help="raw generator, rows ';' entries ','")
+        pl.set_defaults(func=func)
 
-    ps = sub.add_parser("schur", parents=[common, src],
-                        help="GRS consistency screen via Schur squares")
-    ps.add_argument("--matrix", help="raw generator, rows ';' entries ','")
-    ps.set_defaults(func=cmd_schur)
-
-    pr = sub.add_parser("search", parents=[common],
+    pr = sub.add_parser("search", parents=[_output_flags("text", "json", "csv")],
                         help="sweep (A, k, delta) space and report classes")
+    pr.add_argument("--field", help="field spec, e.g. gf(7) or gf(2^3):1,1,0,1")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--k", default="all", help="single value or range a-b")
     pr.add_argument("--delta", default="all", help="'all' or explicit list")
@@ -345,12 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="explicit node set; repeatable")
     pr.add_argument("--sample", type=int,
                     help="random node-set sample of this size (seeded)")
+    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--filter", default="any",
                     choices=("any",) + CODE_CLASSES)
+    pr.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pr.add_argument("--jobs", type=int, default=1)
     pr.set_defaults(func=cmd_search)
 
-    pv = sub.add_parser("verify", parents=[common],
-                        help="run invariant sweeps")
+    pv = sub.add_parser("verify", parents=[out], help="run invariant sweeps")
     pv.add_argument("suite", choices=SUITE_NAMES + ("all",))
     pv.add_argument("--quick", action="store_true")
     pv.add_argument("--max-n", type=int, default=None)
@@ -360,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SearchMismatchError as e:
         return _fail(e, 1)

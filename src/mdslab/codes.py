@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class LinearCode:
         self.field = generator.field
         self.length = generator.ncols
         self.dimension = generator.nrows
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Iterable[int]]) -> "LinearCode":
-        return cls(Matrix(field, rows))
 
     def __repr__(self) -> str:
         return (f"LinearCode([{self.length},{self.dimension}] "

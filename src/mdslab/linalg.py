@@ -61,9 +61,6 @@ class Matrix:
     def ncols(self) -> int:
         return self.a.shape[1]
 
-    def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in r] for r in self.a]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented

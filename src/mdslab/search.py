@@ -108,12 +108,16 @@ class SearchJob:
         if self.deltas is not None:
             object.__setattr__(self, "deltas",
                                tuple(f.check(d) for d in self.deltas))
+            if len(set(self.deltas)) < len(self.deltas):
+                raise ValueError(f"repeated delta in {self.deltas}")
         if self.subsets is not None and self.sample is not None:
             raise ValueError("explicit node sets and sampling are exclusive")
         if self.subsets is not None:
             for pts in self.subsets:
                 if len(pts) != self.n:
                     raise ValueError(f"node set {pts} does not have size {self.n}")
+            if len(set(map(frozenset, self.subsets))) < len(self.subsets):
+                raise ValueError(f"repeated node set in {self.subsets}")
         if self.sample is not None and self.sample < 1:
             raise ValueError("sample size must be positive")
         if self.target is not None and self.target not in CODE_CLASSES:
@@ -248,17 +252,19 @@ def run_search(job: SearchJob) -> list[SearchRecord]:
     needed = job.planned_count()
     if needed > job.budget:
         raise BudgetExceededError(needed, job.budget)
+
+    def matching(records: Iterable[SearchRecord]) -> list[SearchRecord]:
+        # filter as records arrive, so unmatched ones are never held together
+        return [r for r in records
+                if job.target is None or r.classification.kind == job.target]
+
     configs = iter_configs(job)
     workers = job.workers()
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             # imap keeps input order, so parallel runs emit identical bytes
-            records = list(pool.imap(evaluate_config, configs, chunksize=8))
-    else:
-        records = [evaluate_config(cfg) for cfg in configs]
-    if job.target is None:
-        return records
-    return [r for r in records if r.classification.kind == job.target]
+            return matching(pool.imap(evaluate_config, configs, chunksize=8))
+    return matching(map(evaluate_config, configs))
 
 
 # ---------------------------------------------------------------------------

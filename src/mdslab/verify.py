@@ -95,10 +95,6 @@ def sweep_configs(fields: Sequence[Field], max_n: int) -> Iterator[EvalConfig]:
         yield from iter_configs(job)
 
 
-def sweep_size(fields: Sequence[Field], max_n: int) -> int:
-    return sum(job.planned_count() for job in sweep_jobs(fields, max_n))
-
-
 @lru_cache(maxsize=2048)
 def classified(cfg: EvalConfig) -> Classification:
     """Oracle classification, cached so that separate criterion checks over

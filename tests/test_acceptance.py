@@ -37,7 +37,7 @@ from mdslab.verify import (
     check_powersum,
     check_schur,
     sweep_configs,
-    sweep_size,
+    sweep_jobs,
 )
 
 GF4 = Field.from_order(4)
@@ -69,7 +69,7 @@ def test_criterion_01_quaternary_example():
     cfg = EvalConfig.ones(GF4, (0, 1, 2), 3, 2)
     code = family_code(cfg)
     assert (code.length, code.dimension) == (5, 3)
-    assert code.generator.tolist() == [
+    assert code.generator.a.tolist() == [
         [1, 1, 1, 0, 0],
         [0, 1, 2, 0, 1],
         [0, 1, 1, 1, 2],
@@ -88,7 +88,7 @@ def test_criterion_02_octal_example():
     assert (code.length, code.dimension) == (6, 3)
     # every entry recomputed from the defining powers; in particular the
     # degree-3 row reads (1, g^3, g^6, g, 1, g^4)
-    assert code.generator.tolist() == [
+    assert code.generator.a.tolist() == [
         [1, 1, 1, 1, 0, 0],
         [1, 2, 4, 7, 0, 1],
         [1, 3, 5, 2, 1, 6],
@@ -106,7 +106,8 @@ def test_criterion_02_octal_example():
 def test_criterion_03_mds_criterion_matches_brute_force():
     """Subset-sum MDS test agrees with enumerated distance on every config."""
     t0 = time.monotonic()
-    assert sweep_size(SWEEP_FIELDS, SWEEP_MAX_N) == SWEEP_CONFIG_COUNT
+    assert sum(j.planned_count() for j in sweep_jobs(SWEEP_FIELDS, SWEEP_MAX_N)) \
+        == SWEEP_CONFIG_COUNT
     result = check_mds(SWEEP_FIELDS, SWEEP_MAX_N)
     assert result.passed, result.counterexample
     assert result.checked == SWEEP_CONFIG_COUNT

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -9,12 +10,15 @@ import math
 import multiprocessing
 import os
 import random
+import re
+import shlex
+import weakref
 from pathlib import Path
 
 import pytest
 
 from mdslab.gf import Field
-from mdslab.cli import main
+from mdslab.cli import build_parser, main
 from mdslab import search
 from mdslab.construction import EvalConfig
 from mdslab.search import (
@@ -28,6 +32,7 @@ from mdslab.search import (
 )
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 # sha256 of `search --field gf(7) --n 4 --k all --format json`, recorded from
 # the loop-based criteria before they were vectorized
 GOLDEN_GF7_N4_JSON_SHA256 = (
@@ -151,6 +156,27 @@ def test_search_filter_and_json():
     assert payload[0]["grs"]["verdict"] == "Inconclusive"
 
 
+def test_search_filters_records_as_they_arrive(monkeypatch):
+    """Records the filter drops are freed as they arrive, not held together."""
+    alive = peak = 0
+    evaluate = search.evaluate_config
+
+    def counted(cfg):
+        nonlocal alive, peak
+        record = evaluate(cfg)
+        alive += 1
+        peak = max(peak, alive)
+
+        def freed():
+            nonlocal alive
+            alive -= 1
+        weakref.finalize(record, freed)
+        return record
+    monkeypatch.setattr(search, "evaluate_config", counted)
+    assert run_search(SearchJob(GF5, 4, (3,), target="Other")) == []
+    assert peak <= 2
+
+
 def test_search_witness_column():
     # 1 + 2 + 4 = 0 certifies the dual defect; every pair inside that triple
     # also Q-matches delta = 0, so the primal side is two away from Singleton
@@ -249,6 +275,18 @@ def test_construct_usage_errors(capsys):
     code, _, err = run_cli(capsys, ["construct", "--format", "csv"]
                            + EXAMPLE1_ARGS)
     assert code == 2 and "csv" in err
+
+
+@pytest.mark.parametrize("which, flag", [
+    ("g1", "--v"), ("g2", "--v"), ("g3", "--v"), ("g4", "--v"),
+    ("gk", "--tau"), ("g1", "--tau"), ("g3", "--pi"), ("grs", "--pi"),
+])
+def test_construct_refuses_flags_its_family_ignores(capsys, which, flag):
+    code, out, err = run_cli(capsys, [
+        "construct", "--which", which, "--field", "gf(7)",
+        "--points", "1,2,3,4", "--k", "3", "--delta", "5", flag, "2"])
+    assert (code, out, err) == (
+        2, "", f"error: {flag} does not apply to --which {which}\n")
 
 
 def test_construct_from_config_file(capsys, tmp_path):
@@ -464,6 +502,17 @@ def test_search_cli_bad_k_spec(capsys):
     assert code == 2 and "--k" in err
 
 
+@pytest.mark.parametrize("repeat, message", [
+    (["--delta", "1,1"], "repeated delta in (1, 1)"),
+    (["--points", "1,2,3,4", "--points", "4,3,2,1"],
+     "repeated node set in ((1, 2, 3, 4), (4, 3, 2, 1))"),
+])
+def test_search_cli_refuses_repeated_inputs(capsys, repeat, message):
+    code, out, err = run_cli(capsys, [
+        "search", "--field", "gf(7)", "--n", "4", "--k", "3"] + repeat)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # cli: verify
 # ---------------------------------------------------------------------------
@@ -485,7 +534,7 @@ def test_verify_cli_refuses_field(capsys):
     code, out, err = run_cli(capsys, [
         "verify", "mds", "--field", "gf(64)", "--orders", "5", "--max-n", "4"])
     assert (code, out) == (2, "")
-    assert err == "error: verify takes its fields from --orders, not --field\n"
+    assert err == "error: unrecognized arguments: --field gf(64)\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -498,7 +547,7 @@ def test_verify_cli_refuses_field(capsys):
     (["verify", "mds", "--orders", "5,x"], "bad --orders value '5,x'"),
     (["verify", "mds", "--orders", ""], "bad --orders value ''"),
     (["verify", "powersum", "--quick", "--format", "csv"],
-     "format csv applies to the search subcommand only"),
+     "argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
 ])
 def test_verify_cli_input_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -531,3 +580,73 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "1,1,1,0,0;0,1,g,0,1;0,1,1,1,g\n"
+
+
+# ---------------------------------------------------------------------------
+# cli: parser and docs
+# ---------------------------------------------------------------------------
+
+CODE_INPUT_FLAGS = {"--format", "--out", "--field", "--config", "--points",
+                    "--v", "--k", "--delta"}
+SUBCOMMAND_FLAGS = {
+    "construct": CODE_INPUT_FLAGS | {"--which", "--tau", "--pi",
+                                     "--parity-check"},
+    "classify": CODE_INPUT_FLAGS | {"--matrix"},
+    "schur": CODE_INPUT_FLAGS | {"--matrix"},
+    "search": {"--format", "--out", "--field", "--n", "--k", "--delta",
+               "--points", "--sample", "--seed", "--filter", "--budget",
+               "--jobs"},
+    "verify": {"--format", "--out", "--quick", "--max-n", "--orders"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in p._actions for s in a.option_strings
+                    if s.startswith("--") and s != "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 47
+    assert [name for name, p in sub.choices.items()
+            if "csv" in p._option_string_actions["--format"].choices] == ["search"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                "'construct', 'classify', 'schur', 'search', 'verify')"),
+    (["search", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["construct", "--jobs", "2"] + EXAMPLE1_ARGS,
+     "unrecognized arguments: --jobs 2"),
+    (["classify", "--format", "csv"] + EXAMPLE1_ARGS,
+     "argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
+    (["verify", "mds", "--field", "gf(64)"],
+     "unrecognized arguments: --field gf(64)"),
+])
+def test_parser_errors_are_one_line_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mdslab search")
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    """Every `mdslab` line of README's sh blocks exits 0, and the library
+    quick start prints MDS twice."""
+    blocks = re.findall(r"```(\w+)\n(.*?)```", README.read_text(), re.S)
+    commands = [line for lang, body in blocks if lang == "sh"
+                for line in body.splitlines() if line.startswith("mdslab ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+    (quick_start,) = [body for lang, body in blocks if lang == "python"]
+    exec(quick_start, {})
+    assert capsys.readouterr().out == "MDS\nMDS\n"

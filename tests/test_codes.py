@@ -45,21 +45,21 @@ GF8 = Field.from_order(8)
 
 # the two worked example codes, entries written out from the defining rows
 # (powers 0, 1, 3 of the nodes, then the two tail columns)
-EXAMPLE1 = LinearCode.from_rows(GF4, [
+EXAMPLE1 = LinearCode(Matrix(GF4, [
     [1, 1, 1, 0, 0],
     [0, 1, 2, 0, 1],
     [0, 1, 1, 1, 2],
-])
-EXAMPLE2 = LinearCode.from_rows(GF8, [
+]))
+EXAMPLE2 = LinearCode(Matrix(GF8, [
     [1, 1, 1, 1, 0, 0],
     [1, 2, 4, 7, 0, 1],
     [1, 3, 5, 2, 1, 6],
-])
+]))
 
 
 def naive_min_distance(code: LinearCode) -> int:
     """Independent oracle: pure-python message enumeration."""
-    f, G = code.field, code.generator.tolist()
+    f, G = code.field, code.generator.a.tolist()
     best = code.length
     for msg in itertools.product(range(f.q), repeat=code.dimension):
         if not any(msg):
@@ -101,15 +101,15 @@ def column_rank_kind(code: LinearCode) -> str | None:
 def test_code_construction_and_rank_validation():
     assert (EXAMPLE1.length, EXAMPLE1.dimension) == (5, 3)
     with pytest.raises(RankDeficientError):
-        LinearCode.from_rows(GF7, [[1, 2, 3], [2, 4, 6]])
-    full = LinearCode.from_rows(GF7, np.eye(3, dtype=int))
+        LinearCode(Matrix(GF7, [[1, 2, 3], [2, 4, 6]]))
+    full = LinearCode(Matrix(GF7, np.eye(3, dtype=int)))
     assert (full.length, full.dimension) == (3, 3)
 
 
 def test_min_distance_examples():
     assert EXAMPLE1.min_distance == 3
     assert EXAMPLE2.min_distance == 4
-    rep = LinearCode.from_rows(GF7, [[1] * 6])
+    rep = LinearCode(Matrix(GF7, [[1] * 6]))
     assert rep.min_distance == 6
 
 
@@ -122,7 +122,7 @@ def test_min_distance_matches_naive_oracle():
             N = int(rng.integers(k + 1, k + 5))
             a = rng.integers(0, q, size=(k, N))
             try:
-                code = LinearCode.from_rows(f, a)
+                code = LinearCode(Matrix(f, a))
             except RankDeficientError:
                 continue
             assert code.min_distance == naive_min_distance(code)
@@ -138,7 +138,7 @@ def test_both_distance_methods_match_naive_oracle():
             a = rng.integers(0, q, size=(k, N))
             a[:, int(rng.integers(0, N))] *= int(rng.integers(0, 2))
             try:
-                code = LinearCode.from_rows(f, a)
+                code = LinearCode(Matrix(f, a))
             except RankDeficientError:
                 continue
             d = naive_min_distance(code)
@@ -180,22 +180,22 @@ def test_dual_and_orthogonality():
         for _ in range(5):
             a = rng.integers(0, q, size=(3, 6))
             try:
-                c = LinearCode.from_rows(f, a)
+                c = LinearCode(Matrix(f, a))
             except RankDeficientError:
                 continue
             assert codes_equal(c.dual.dual, c)
     with pytest.raises(BadDimensionError):
-        LinearCode.from_rows(GF7, np.eye(3, dtype=int)).dual
+        LinearCode(Matrix(GF7, np.eye(3, dtype=int))).dual
 
 
 def test_codes_equal_semantics():
-    g = EXAMPLE1.generator.tolist()
-    permuted = LinearCode.from_rows(GF4, [g[2], g[0], g[1]])
+    g = EXAMPLE1.generator.a.tolist()
+    permuted = LinearCode(Matrix(GF4, [g[2], g[0], g[1]]))
     assert codes_equal(EXAMPLE1, permuted)
-    scaled = LinearCode.from_rows(GF4, [[GF4.mul(3, x) for x in row] for row in g])
+    scaled = LinearCode(Matrix(GF4, [[GF4.mul(3, x) for x in row] for row in g]))
     assert codes_equal(EXAMPLE1, scaled)
     assert not codes_equal(EXAMPLE1, EXAMPLE1.dual)
-    assert not codes_equal(EXAMPLE1, LinearCode.from_rows(GF4, g[:2] + [[1, 0, 0, 0, 0]]))
+    assert not codes_equal(EXAMPLE1, LinearCode(Matrix(GF4, g[:2] + [[1, 0, 0, 0, 0]])))
     assert EXAMPLE1 == permuted
     assert EXAMPLE1 != EXAMPLE2  # different fields compare unequal, no raise
 
@@ -213,13 +213,13 @@ def test_classify_examples():
     gapped = LinearCode(power_matrix(GF7, [1, 2, 4, 5], [0, 1, 3]))
     assert classify(gapped).kind == NMDS
 
-    rep3 = LinearCode.from_rows(Field.from_order(2), [[1, 1, 1]])
+    rep3 = LinearCode(Matrix(Field.from_order(2), [[1, 1, 1]]))
     cls3 = classify(rep3)
     assert (cls3.min_distance, cls3.singleton_defect) == (3, 0)
     assert cls3.kind == MDS
 
     with pytest.raises(BadDimensionError):
-        classify(LinearCode.from_rows(GF7, np.eye(2, dtype=int)))
+        classify(LinearCode(Matrix(GF7, np.eye(2, dtype=int))))
 
 
 def test_classification_json_schema():
@@ -245,7 +245,7 @@ def test_classify_agrees_with_column_rank_oracle():
             N = int(rng.integers(k + 2, k + 5))
             a = rng.integers(0, q, size=(k, N))
             try:
-                c = LinearCode.from_rows(f, a)
+                c = LinearCode(Matrix(f, a))
             except RankDeficientError:
                 continue
             checked += 1
@@ -300,12 +300,12 @@ def test_grs_is_mds_exhaustive(q):
 
 def test_schur_product_basics():
     f = Field.from_order(11)
-    ones = LinearCode.from_rows(f, [[1] * 5])
+    ones = LinearCode(Matrix(f, [[1] * 5]))
     assert codes_equal(schur_square(ones), ones)
-    full = LinearCode.from_rows(f, np.eye(5, dtype=int))
+    full = LinearCode(Matrix(f, np.eye(5, dtype=int)))
     assert codes_equal(schur_product(ones, full), full)
     with pytest.raises(LengthMismatchError):
-        schur_product(ones, LinearCode.from_rows(f, [[1] * 4]))
+        schur_product(ones, LinearCode(Matrix(f, [[1] * 4])))
 
 
 def test_grs_square_dimension():
@@ -340,7 +340,7 @@ def test_grs_consistency_gates():
     assert grs_consistency_test(two_dim).verdict == INCONCLUSIVE
     assert grs_consistency_test(two_dim).method == "NotApplicable"
     # k = N: no dual exists, gate must not touch it
-    full = LinearCode.from_rows(GF7, np.eye(4, dtype=int))
+    full = LinearCode(Matrix(GF7, np.eye(4, dtype=int)))
     assert grs_consistency_test(full).verdict == INCONCLUSIVE
     # high-rate GRS goes through the dual branch and stays consistent
     high = grs_code(f, list(range(9)), [1] * 9, 6)

@@ -170,13 +170,13 @@ def test_power_sum_range_errors():
 
 def test_family_code_frozen_examples():
     g1 = family_code(EXAMPLE1_CFG).generator
-    assert g1.tolist() == [
+    assert g1.a.tolist() == [
         [1, 1, 1, 0, 0],
         [0, 1, 2, 0, 1],
         [0, 1, 1, 1, 2],
     ]
     g2 = family_code(EXAMPLE2_CFG).generator
-    assert g2.tolist() == [
+    assert g2.a.tolist() == [
         [1, 1, 1, 1, 0, 0],
         [1, 2, 4, 7, 0, 1],
         [1, 3, 5, 2, 1, 6],
@@ -206,7 +206,7 @@ def test_family_code_rank_survives_zero_sum_nodes():
 
 def test_two_column_builder():
     c = grs_two_column_code(GF7, (1, 2, 3, 4), 3, 5)
-    assert c.generator.tolist() == [
+    assert c.generator.a.tolist() == [
         [1, 1, 1, 1, 0, 0],
         [1, 2, 3, 4, 0, 1],
         [1, 4, 2, 2, 1, 5],
@@ -219,14 +219,14 @@ def test_two_column_builder():
 
 def test_three_column_builder():
     c = grs_three_column_code(GF7, (1, 2, 3, 4), 3, 5, 2, 3)
-    assert c.generator.tolist() == [
+    assert c.generator.a.tolist() == [
         [1, 1, 1, 1, 0, 0, 1],
         [1, 2, 3, 4, 0, 1, 2],
         [1, 4, 2, 2, 1, 5, 3],
     ]
     c4 = grs_three_column_code(GF7, (1, 2, 3, 4, 5), 4, 1, 1, 1)
     assert c4.generator.ncols == 8
-    assert c4.generator.tolist()[0][-3:] == [0, 0, 0]
+    assert c4.generator.a.tolist()[0][-3:] == [0, 0, 0]
     with pytest.raises(BadDimensionError):
         grs_three_column_code(GF7, (1, 2, 3), 3, 5, 2, 3)
 
@@ -244,7 +244,7 @@ def test_gapped_builder():
 
 def test_gapped_one_column_builder():
     c = gapped_grs_one_column_code(GF7, (1, 2, 3, 4), 3)
-    assert c.generator.tolist() == [
+    assert c.generator.a.tolist() == [
         [1, 1, 1, 1, 0],
         [1, 2, 3, 4, 0],
         [1, 1, 6, 1, 1],
@@ -295,7 +295,7 @@ def test_extend_one_column_code_reproduces_family():
 
 def test_parity_check_frozen_example():
     H = parity_check_matrix(EXAMPLE1_CFG)
-    assert H.tolist() == [
+    assert H.a.tolist() == [
         [3, 2, 1, 3, 0],
         [0, 2, 2, 2, 1],
     ]

@@ -17,7 +17,7 @@ from mdslab.verify import (
     SuiteResult,
     run_suites,
     sweep_configs,
-    sweep_size,
+    sweep_jobs,
 )
 
 FIELDS = (Field.from_order(4), Field.from_order(5))
@@ -62,7 +62,8 @@ def other_delta_at_chosen(build):
 
 def test_chosen_config_position():
     configs = list(sweep_configs(FIELDS, MAX_N))
-    assert len(configs) == sweep_size(FIELDS, MAX_N) == SWEEP_COUNT
+    assert len(configs) == SWEEP_COUNT
+    assert sum(j.planned_count() for j in sweep_jobs(FIELDS, MAX_N)) == SWEEP_COUNT
     assert configs.index(CHOSEN) + 1 == CHOSEN_POSITION
     assert verify.classified(CHOSEN).kind == MDS
 
