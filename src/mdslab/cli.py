@@ -76,8 +76,6 @@ def _config_parts(args) -> tuple[Field, tuple[int, ...], tuple[int, ...], int,
     """(field, nodes, v, k, delta) from --config or from the flags; delta is
     None when the flags give no --delta."""
     if args.config:
-        if args.points:
-            raise UsageError("give either --config or --points, not both")
         with open(args.config) as fh:
             cfg = EvalConfig.from_json(json.load(fh))
         return cfg.field, cfg.alphas, cfg.v, cfg.k, cfg.delta
@@ -102,9 +100,8 @@ def _config_from_args(args) -> EvalConfig:
 def _code_from_args(args) -> tuple[LinearCode, EvalConfig | None]:
     """The code of --matrix, or the family code of the config; the config is
     None for --matrix."""
-    if args.matrix:
-        if args.config or args.points:
-            raise UsageError("--matrix excludes --config and --points")
+    _refuse_unread(args)
+    if args.matrix is not None:
         return LinearCode(Matrix.parse(_require_field(args), args.matrix)), None
     cfg = _config_from_args(args)
     return family_code(cfg), cfg
@@ -134,12 +131,28 @@ FAMILIES = {
 }
 
 
+# input of a code -> the flags it reads; classify and schur read --points as gk
+INPUT_READS = {"matrix": ("matrix", "field"), "config": ("config",),
+               **{which: ("field", "points", "k") + reads
+                  for which, (_, reads) in FAMILIES.items()}}
+
+
+def _refuse_unread(args, which: str = "gk") -> None:
+    """Refuse each input flag given beside an input that does not read it."""
+    given = [name for name in ("matrix", "config", "field", "points", "v", "k",
+                               "tau", "pi", "delta")
+             if getattr(args, name, None) is not None]
+    source = next((name for name in given if name in ("matrix", "config")), which)
+    unread = [name for name in given if name not in INPUT_READS[source]]
+    if unread:
+        where = f"--which {source}" if source in FAMILIES else f"--{source}"
+        raise UsageError(f"--{unread[0]} does not apply to {where}")
+
+
 def cmd_construct(args) -> int:
     which = args.which
     builder, reads = FAMILIES[which]
-    for name in ("v", "tau", "pi"):
-        if getattr(args, name) is not None and name not in reads:
-            raise UsageError(f"--{name} does not apply to --which {which}")
+    _refuse_unread(args, which)
     if args.parity_check and which != "gk":
         raise UsageError("--parity-check only applies to the gk family")
     if builder is None:

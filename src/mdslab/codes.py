@@ -4,9 +4,9 @@ Minimum distance is exact, from one of two table-driven numpy methods, and
 independent of the family's criteria and of its closed-form parity check:
 
 - the rank scan: a nonzero codeword vanishes on a coordinate set Z exactly
-  when rank(G_Z) < k, so d = N - max{|Z| : rank(G_Z) < k}; every column
-  subset of size k, k+1, ... is ranked by one batched elimination until a
-  size has no rank-deficient subset.  Its cost follows C(N, s), not q^k.
+  when rank(G_Z) < k, so d = N - max{|Z| : rank(G_Z) < k}; column subsets
+  of size k, k+1, ... are ranked in stacks by linalg.eliminate until a size
+  has no rank-deficient subset.  Its cost follows C(N, s), not q^k.
 - projective enumeration of the (q^k - 1)/(q - 1) messages whose leading
   nonzero digit is 1, for small q with long codes.
 
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .gf import Field, FieldMismatchError
-from .linalg import Matrix, nullspace, power_matrix, require_distinct, rref
+from .linalg import Matrix, eliminate, nullspace, power_matrix, require_distinct, rref
 
 # cap on the oracle's predicted table lookups: about 15 s at ~7 ns a lookup
 ENUMERATION_CAP = 1 << 31
@@ -208,13 +208,9 @@ def _rank_scan_min_weight(field: Field, G: np.ndarray) -> int:
 
 
 def _some_rank_deficient(field: Field, columns: np.ndarray, s: int) -> bool:
-    """Whether some s of the given length-k vectors span less than GF(q)^k.
-
-    Each block stacks up to _CHUNK column subsets as a (subsets, s, k) array
-    and runs one forward elimination over the whole stack.  A pivot row is
-    cleared by its own elimination step, so it is never chosen again.
-    """
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    """Whether some s of the given length-k vectors span less than GF(q)^k:
+    where linalg.eliminate, on blocks of up to _CHUNK subsets stacked as
+    (subsets, s, k), leaves one of the k coordinates without a pivot."""
     N, k = columns.shape
     combos = itertools.combinations(range(N), s)
     chunk = min(_CHUNK, (_CHUNK << 4) // (s * k))  # at most 2^20 entries
@@ -223,18 +219,8 @@ def _some_rank_deficient(field: Field, columns: np.ndarray, s: int) -> bool:
             itertools.islice(combos, chunk)), dtype=np.intp)
         if flat.size == 0:
             return False
-        a = columns[flat.reshape(-1, s)]
-        at = np.arange(a.shape[0])
-        for j in range(k):
-            col = a[:, :, j]
-            nonzero = col != 0
-            if not nonzero.any(axis=1).all():
-                return True
-            p = nonzero.argmax(axis=1)
-            factors = mul[col, inv[col[at, p]][:, None]]
-            pivot = a[at, p, j + 1:]
-            a[:, :, j + 1:] = sub[a[:, :, j + 1:],
-                                  mul[factors[:, :, None], pivot[:, None, :]]]
+        if (eliminate(field, columns[flat.reshape(-1, s)]) < 0).any():
+            return True
 
 
 def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:
@@ -382,6 +368,5 @@ def extend_code(code: LinearCode, w: Sequence[int]) -> LinearCode:
             f"extension vector has length {len(wl)}, code has length {code.length}")
     if not any(wl):
         raise ZeroExtensionVectorError("extension vector must be nonzero")
-    col = code.generator.matvec(wl)
-    G = code.generator.hstack(Matrix(code.field, col.reshape(-1, 1)))
-    return LinearCode(G)
+    column = code.generator @ Matrix(code.field, [[x] for x in wl])
+    return LinearCode(code.generator.hstack(column))

@@ -130,7 +130,7 @@ class Field:
         modulus: monic degree-m polynomial, ascending coefficients; (0, 1)
             whenever m = 1, as every x + c gives GF(p) the same arithmetic.
         add_table, sub_table, mul_table: (q, q) int16 arrays.
-        inv_table: (q,) int16 array; entry 0 is a dummy, never index it at 0.
+        inv_table: (q,) int16 array; entry 0 is 0 (linalg.eliminate needs it).
         exp, log: discrete exp/log w.r.t. the smallest primitive element.
     """
 

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over GF(q).
 
-Everything here is small and dense (generator and parity-check matrices of
-desk-scale codes, at most a few dozen rows or columns), so the implementation
-is plain Gauss-Jordan with exact field inverses, vectorized row-wise through
-the field's lookup tables.
+Everything here is small, dense and runs on the field's lookup tables, in
+two elimination loops: Gauss-Jordan on one matrix for rref and nullspace,
+and eliminate, forward elimination over a whole (B, r, c) stack at once,
+for determinants and the distance oracle's rank scan.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ class Matrix:
             out = add[out, mul[self.a[:, j][:, None], other.a[j][None, :]]]
         return Matrix(self.field, out)
 
-    def matvec(self, w: Sequence[int]) -> np.ndarray:
-        """Right product G @ w as a length-nrows vector."""
-        col = Matrix(self.field, np.asarray(w, dtype=np.int16).reshape(-1, 1))
-        return (self @ col).a[:, 0].copy()
-
     # -- text form -----------------------------------------------------------
 
     def format(self, style: str = "auto") -> str:
@@ -149,11 +144,9 @@ def _rref_inplace(field: Field, a: np.ndarray) -> tuple[int, ...]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = mul[a[r], inv[a[r, c]]]
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            f = a[others, c]
-            a[others] = sub[a[others], mul[f[:, None], a[r][None, :]]]
+        f = a[:, c].copy()
+        f[r] = 0
+        a[:] = sub[a, mul[f[:, None], a[r][None, :]]]
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -166,45 +159,50 @@ def rref(M: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return Matrix(M.field, a), len(pivots), pivots
 
 
-def det(M: Matrix) -> int:
-    """Determinant by elimination with row-swap sign tracking."""
-    if M.nrows != M.ncols:
-        raise NotSquareError(f"determinant of a {M.nrows}x{M.ncols} matrix")
-    f = M.field
-    mul, sub, inv = f.mul_table, f.sub_table, f.inv_table
-    a = M.a.copy()
-    n = a.shape[0]
-    swaps = 0
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            a[[c, i]] = a[[i, c]]
-            swaps += 1
-        below = c + 1 + np.nonzero(a[c + 1:, c])[0]
-        if below.size:
-            factors = mul[a[below, c], inv[a[c, c]]]
-            a[below] = sub[a[below], mul[factors[:, None], a[c][None, :]]]
-    d = 1
-    for c in range(n):
-        d = f.mul(d, int(a[c, c]))
-    return f.neg(d) if swaps % 2 else d
+def eliminate(field: Field, a: np.ndarray) -> np.ndarray:
+    """Forward-eliminate a (B, r, c) int16 stack in place; the (B, c) pivot
+    row of each column, or -1 where it has none, so the pivot count is the rank.
+
+    Column j pivots on its first nonzero row, and every row, the pivot row
+    too, loses its multiple of that row from column j+1 on: a pivot row is
+    never chosen again and keeps its pivot at a[b, row, j].  A column with
+    no pivot scales its factors by inv[0] == 0 and changes nothing."""
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    at = np.arange(a.shape[0])
+    pivots = np.empty(a.shape[::2], dtype=np.intp)
+    for j in range(a.shape[2]):
+        col = a[:, :, j]
+        p = (col != 0).argmax(axis=1)
+        lead = col[at, p]
+        pivots[:, j] = np.where(lead != 0, p, -1)
+        factors = mul[col, inv[lead][:, None]]
+        pivot = a[at, p, j + 1:]
+        a[:, :, j + 1:] = sub[a[:, :, j + 1:],
+                              mul[factors[:, :, None], pivot[:, None, :]]]
+    return pivots
+
+
+def det(field: Field, a: np.ndarray) -> np.ndarray:
+    """(B,) determinants of a (B, n, n) stack: the product of the pivots, negated
+    where the pivot rows are an odd permutation, 0 where a column has none."""
+    a = np.array(a, dtype=np.int16)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NotSquareError(f"determinants need a (B, n, n) stack, got {a.shape}")
+    pivots = eliminate(field, a)
+    lead = np.take_along_axis(a, pivots[:, None, :], axis=1)[:, 0]
+    d = field.exp[field.log[lead].sum(axis=1) % (field.q - 1)]
+    odd = np.triu(pivots[:, :, None] > pivots[:, None, :], 1).sum(axis=(1, 2)) % 2
+    return np.where((pivots < 0).any(axis=1), 0, np.where(odd, field.neg_table[d], d))
 
 
 def nullspace(M: Matrix) -> Matrix:
     """Basis of {x : M x^T = 0}, as rows; row count = cols - rank."""
     R, rk, pivots = rref(M)
-    f = M.field
-    cols = M.ncols
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int16)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = f.neg(int(R.a[ri, fc]))
-    return Matrix(f, basis.reshape(len(free), cols))
+    free = [c for c in range(M.ncols) if c not in pivots]
+    basis = np.zeros((len(free), M.ncols), dtype=np.int16)
+    basis[range(len(free)), free] = 1
+    basis[:, list(pivots)] = M.field.neg_table[R.a[:rk, free]].T
+    return Matrix(M.field, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +222,16 @@ def symmetric_sums(field: Field, values: Sequence[int]) -> tuple[int, int]:
     return e1, h2
 
 
-def _pairwise_difference_product(field: Field, points: Sequence[int]) -> int:
-    out = 1
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            out = field.mul(out, field.sub(points[j], points[i]))
-    return out
+def _closed_form_factors(field: Field, points: Sequence[int]) -> tuple[int, int, int]:
+    """(e1, h2, product of a_j - a_i over i < j) of at least 3 distinct points."""
+    pts = require_distinct(points)
+    if len(pts) < 3:
+        raise ValueError(f"need at least 3 points, got {len(pts)}")
+    diff = 1
+    for i, ai in enumerate(pts):
+        for aj in pts[i + 1:]:
+            diff = field.mul(diff, field.sub(aj, ai))
+    return (*symmetric_sums(field, pts), diff)
 
 
 def vandermonde_det_skip_penultimate(field: Field, points: Sequence[int]) -> int:
@@ -237,11 +239,8 @@ def vandermonde_det_skip_penultimate(field: Field, points: Sequence[int]) -> int
 
     Closed form: (sum of the points) times the pairwise difference product.
     """
-    pts = require_distinct(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    e1, _ = symmetric_sums(field, pts)
-    return field.mul(e1, _pairwise_difference_product(field, pts))
+    e1, _, diff = _closed_form_factors(field, points)
+    return field.mul(e1, diff)
 
 
 def vandermonde_det_skip_two(field: Field, points: Sequence[int]) -> int:
@@ -249,8 +248,5 @@ def vandermonde_det_skip_two(field: Field, points: Sequence[int]) -> int:
 
     Closed form: h2 = (sum)^2 - e2, times the pairwise difference product.
     """
-    pts = require_distinct(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    _, h2 = symmetric_sums(field, pts)
-    return field.mul(h2, _pairwise_difference_product(field, pts))
+    _, h2, diff = _closed_form_factors(field, points)
+    return field.mul(h2, diff)

@@ -245,7 +245,7 @@ def test_construct_other_builders(capsys):
     assert (code, out) == (0, "1,1,1,1,0,0,1;1,2,3,4,0,1,2;1,4,2,2,1,5,3\n")
     code, out, _ = run_cli(capsys, [
         "construct", "--which", "grs", "--field", "gf(7)",
-        "--points", "0,1,2", "--k", "3", "--delta", "0"])
+        "--points", "0,1,2", "--k", "3"])
     assert (code, out) == (0, "1,1,1;0,1,2;0,1,4\n")
 
 
@@ -280,6 +280,7 @@ def test_construct_usage_errors(capsys):
 @pytest.mark.parametrize("which, flag", [
     ("g1", "--v"), ("g2", "--v"), ("g3", "--v"), ("g4", "--v"),
     ("gk", "--tau"), ("g1", "--tau"), ("g3", "--pi"), ("grs", "--pi"),
+    ("g3", "--delta"), ("g4", "--delta"), ("grs", "--delta"),
 ])
 def test_construct_refuses_flags_its_family_ignores(capsys, which, flag):
     code, out, err = run_cli(capsys, [
@@ -287,6 +288,34 @@ def test_construct_refuses_flags_its_family_ignores(capsys, which, flag):
         "--points", "1,2,3,4", "--k", "3", "--delta", "5", flag, "2"])
     assert (code, out, err) == (
         2, "", f"error: {flag} does not apply to --which {which}\n")
+
+
+MATRIX_ARGS = ["--field", "gf(7)", "--matrix", "1,1,1,1;0,1,2,3"]
+
+
+@pytest.mark.parametrize("command", ["classify", "schur"])
+@pytest.mark.parametrize("extra, flag", [
+    (["--k", "4"], "--k"), (["--delta", "5"], "--delta"),
+    (["--v", "1,2,3,4"], "--v"), (["--points", "1,2,3,4"], "--points"),
+    (["--config", "cfg.json"], "--config"),
+])
+def test_matrix_refuses_flags_it_ignores(capsys, command, extra, flag):
+    code, out, err = run_cli(capsys, [command] + MATRIX_ARGS + extra)
+    assert (code, out, err) == (2, "", f"error: {flag} does not apply to --matrix\n")
+
+
+@pytest.mark.parametrize("command", ["construct", "classify", "schur"])
+@pytest.mark.parametrize("extra, flag", [
+    (["--field", "gf(5)"], "--field"), (["--k", "4"], "--k"),
+    (["--delta", "1"], "--delta"), (["--v", "1,1,1"], "--v"),
+    (["--points", "0,1,2"], "--points"),
+])
+def test_config_refuses_flags_it_ignores(capsys, tmp_path, command, extra, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"field": "gf(8)", "A": [0, 1, "g"],
+                                "v": "ones", "k": 3, "delta": "g"}))
+    code, out, err = run_cli(capsys, [command, "--config", str(path)] + extra)
+    assert (code, out, err) == (2, "", f"error: {flag} does not apply to --config\n")
 
 
 def test_construct_from_config_file(capsys, tmp_path):

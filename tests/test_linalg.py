@@ -15,6 +15,7 @@ from mdslab.linalg import (
     Matrix,
     NotSquareError,
     det,
+    eliminate,
     nullspace,
     power_matrix,
     rref,
@@ -32,6 +33,11 @@ def identity(f: Field, n: int) -> Matrix:
 
 def rank(M: Matrix) -> int:
     return rref(M)[1]
+
+
+def det1(M: Matrix) -> int:
+    """The determinant of one matrix, as a stack of one."""
+    return int(det(M.field, M.a[None])[0])
 
 
 def cofactor_det(f: Field, rows: list[list[int]]) -> int:
@@ -69,15 +75,17 @@ def naive_matmul(f: Field, A: Matrix, B: Matrix) -> list[list[int]]:
 def test_det_known_value_gf7():
     m = Matrix(GF7, [[1, 1, 1], [1, 2, 3], [1, 1, 6]])
     assert cofactor_det(GF7, m.a.tolist()) == 5
-    assert det(m) == 5
+    assert det1(m) == 5
 
 
 def test_det_basics():
-    assert det(identity(GF7, 4)) == 1
-    assert det(Matrix(GF7, [[1, 2, 1], [3, 4, 3], [5, 6, 5]])) == 0  # repeated column
-    assert det(Matrix(GF7, [[4]])) == 4
+    assert det1(identity(GF7, 4)) == 1
+    assert det1(Matrix(GF7, [[1, 2, 1], [3, 4, 3], [5, 6, 5]])) == 0  # repeated column
+    assert det1(Matrix(GF7, [[4]])) == 4
     with pytest.raises(NotSquareError):
-        det(Matrix(GF7, [[1, 2, 3], [4, 5, 6]]))
+        det1(Matrix(GF7, [[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(NotSquareError):
+        det(GF7, np.eye(3, dtype=np.int16))   # one matrix, not a stack
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -87,7 +95,7 @@ def test_det_matches_cofactor_oracle(q):
     for n in range(1, 5):
         for _ in range(8):
             m = random_matrix(f, n, n, rng)
-            assert det(m) == cofactor_det(f, m.a.tolist())
+            assert det1(m) == cofactor_det(f, m.a.tolist())
 
 
 @pytest.mark.parametrize("q", [2, 5, 8, 9])
@@ -97,7 +105,70 @@ def test_det_multiplicative(q):
     for n in (2, 3, 5):
         for _ in range(6):
             a, b = random_matrix(f, n, n, rng), random_matrix(f, n, n, rng)
-            assert det(a @ b) == f.mul(det(a), det(b))
+            assert det1(a @ b) == f.mul(det1(a), det1(b))
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_det_sign_of_row_permutations(q):
+    # upper-triangular with a nonzero diagonal, rows shuffled: the pivot rows
+    # are the shuffle, so the odd ones must negate in odd characteristic
+    f = Field.from_order(q)
+    rng = np.random.default_rng(q)
+    tri = np.triu(rng.integers(1, q, size=(4, 4)))
+    perms = list(itertools.permutations(range(4)))
+    stack = tri[np.array(perms)].astype(np.int16)
+    before = stack.copy()
+    got = det(f, stack)
+    assert np.array_equal(stack, before)   # det works on its own copy
+    assert got.tolist() == [cofactor_det(f, m.tolist()) for m in stack]
+    assert len(set(got.tolist())) == 2
+
+
+FIELDS_UP_TO_64 = [p**m for p in range(2, 65) if is_prime(p)
+                   for m in range(1, 7) if p**m <= 64]
+
+
+@st.composite
+def stacks(draw, square: bool):
+    """(field, (B, s, k) stack): rank-deficient in half of the draws, and
+    upper-triangular with shuffled rows in half, so pivot rows come out of
+    order."""
+    f = Field.from_order(draw(st.sampled_from(FIELDS_UP_TO_64)))
+    B, s = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    k = s if square else draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(st.integers(0, f.q - 1), min_size=B * s * k,
+                               max_size=B * s * k)), dtype=np.int16)
+    a = a.reshape(B, s, k)
+    if draw(st.booleans()):
+        a = np.triu(a)
+    if draw(st.booleans()):
+        # a scaled copy of the first row (s <= k) or column (s > k) leaves
+        # rank below min(s, k)
+        c = draw(st.integers(0, f.q - 1))
+        if s <= k:
+            a[:, -1] = f.mul_table[c, a[:, 0]] if s > 1 else 0
+        else:
+            a[:, :, -1] = f.mul_table[c, a[:, :, 0]] if k > 1 else 0
+    a = a[:, draw(st.permutations(range(s)))]
+    return f, a
+
+
+@given(stacks(square=True))
+def test_det_stack_matches_cofactor(case):
+    f, a = case
+    assert det(f, a).tolist() == [cofactor_det(f, m.tolist()) for m in a]
+
+
+@given(stacks(square=False))
+def test_eliminate_pivot_count_is_rank(case):
+    f, a = case
+    ranks = [rank(Matrix(f, m)) for m in a]
+    pivots = eliminate(f, a.copy())
+    assert pivots.shape == (a.shape[0], a.shape[2])
+    assert (pivots >= 0).sum(axis=1).tolist() == ranks
+    for rows in pivots:
+        used = rows[rows >= 0].tolist()
+        assert len(set(used)) == len(used)   # a row pivots one column at most
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +228,7 @@ def test_nullspace_orthogonal_and_independent():
 def matrices(draw):
     """A matrix over a field of order <= 64, rank-deficient about half the
     time: its last row is then a combination of two earlier rows."""
-    f = Field.from_order(draw(st.sampled_from(
-        [p**m for p in range(2, 65) if is_prime(p) for m in range(1, 7) if p**m <= 64])))
+    f = Field.from_order(draw(st.sampled_from(FIELDS_UP_TO_64)))
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
     entries = st.integers(0, f.q - 1)
     a = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
@@ -268,24 +338,24 @@ def test_vandermonde_det_known_values():
 
     f4 = Field.from_order(4)
     pts = (0, 1, 2)
-    assert vandermonde_det_skip_penultimate(f4, pts) == det(skip_penultimate_matrix(f4, pts))
+    assert vandermonde_det_skip_penultimate(f4, pts) == det1(skip_penultimate_matrix(f4, pts))
     f8 = Field.from_order(8)
     pts8 = (1, 2, 4)
-    assert vandermonde_det_skip_two(f8, pts8) == det(skip_two_matrix(f8, pts8))
+    assert vandermonde_det_skip_two(f8, pts8) == det1(skip_two_matrix(f8, pts8))
 
 
 def test_vandermonde_det_zero_factor():
     # points summing to zero kill the first closed form
     assert vandermonde_det_skip_penultimate(GF7, (1, 2, 4)) == 0
-    assert det(skip_penultimate_matrix(GF7, (1, 2, 4))) == 0
+    assert det1(skip_penultimate_matrix(GF7, (1, 2, 4))) == 0
 
 
 @pytest.mark.parametrize("q,n", [(5, 3), (5, 4), (7, 3), (7, 4), (8, 3), (9, 3)])
 def test_vandermonde_closed_forms_exhaustive_small(q, n):
     f = Field.from_order(q)
     for pts in itertools.permutations(range(q), n):
-        assert vandermonde_det_skip_penultimate(f, pts) == det(skip_penultimate_matrix(f, pts))
-        assert vandermonde_det_skip_two(f, pts) == det(skip_two_matrix(f, pts))
+        assert vandermonde_det_skip_penultimate(f, pts) == det1(skip_penultimate_matrix(f, pts))
+        assert vandermonde_det_skip_two(f, pts) == det1(skip_two_matrix(f, pts))
 
 
 def test_vandermonde_det_size_five_sampled():
@@ -294,8 +364,8 @@ def test_vandermonde_det_size_five_sampled():
         f = Field.from_order(q)
         for _ in range(30):
             pts = tuple(int(x) for x in rng.choice(q, size=5, replace=False))
-            assert vandermonde_det_skip_penultimate(f, pts) == det(skip_penultimate_matrix(f, pts))
-            assert vandermonde_det_skip_two(f, pts) == det(skip_two_matrix(f, pts))
+            assert vandermonde_det_skip_penultimate(f, pts) == det1(skip_penultimate_matrix(f, pts))
+            assert vandermonde_det_skip_two(f, pts) == det1(skip_two_matrix(f, pts))
 
 
 def test_vandermonde_det_errors():

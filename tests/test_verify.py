@@ -161,3 +161,25 @@ def test_classified_cache_is_bounded(monkeypatch):
         assert verify.classified.cache_info().currsize == info.maxsize
     finally:
         verify.classified.cache_clear()
+
+
+# the 444th of the 840 gf(7) size-4 permutations: inside its det stack
+DET_BROKEN = (3, 5, 0, 6)
+
+
+@pytest.mark.parametrize("quick, checked", [(False, 954), (True, 834)])
+def test_det_failure_inside_a_stack_replays(monkeypatch, quick, checked):
+    # checked and the counterexample were recorded from the scalar det loop:
+    # 300 (full) or 180 (quick) gf(5) checks, 210 gf(7) size-3, then 444
+    f7 = Field.from_order(7)
+    closed_form = verify.vandermonde_det_skip_two
+
+    def faulty(f, pts):
+        d = closed_form(f, pts)
+        return f.add(d, 1) if (f, tuple(pts)) == (f7, DET_BROKEN) else d
+    monkeypatch.setattr(verify, "vandermonde_det_skip_two", faulty)
+    (result,) = run_suites(["det"], quick=quick)
+    assert result.to_json() == {
+        "suite": "det", "passed": False, "checked": checked,
+        "counterexample": {"field": "gf(7)", "points": [3, 5, 0, 6]},
+        "detail": ""}
