@@ -143,7 +143,10 @@ def _refuse_unread(args, which: str = "gk") -> None:
                                "tau", "pi", "delta")
              if getattr(args, name, None) is not None]
     source = next((name for name in given if name in ("matrix", "config")), which)
-    unread = [name for name in given if name not in INPUT_READS[source]]
+    reads = INPUT_READS[source]
+    if source == "config":  # a config carries no --tau or --pi
+        reads += tuple(name for name in INPUT_READS[which] if name in ("tau", "pi"))
+    unread = [name for name in given if name not in reads]
     if unread:
         where = f"--which {source}" if source in FAMILIES else f"--{source}"
         raise UsageError(f"--{unread[0]} does not apply to {where}")

@@ -368,5 +368,6 @@ def extend_code(code: LinearCode, w: Sequence[int]) -> LinearCode:
             f"extension vector has length {len(wl)}, code has length {code.length}")
     if not any(wl):
         raise ZeroExtensionVectorError("extension vector must be nonzero")
-    column = code.generator @ Matrix(code.field, [[x] for x in wl])
-    return LinearCode(code.generator.hstack(column))
+    col = code.generator.matvec(wl)
+    G = code.generator.hstack(Matrix(code.field, col.reshape(-1, 1)))
+    return LinearCode(G)

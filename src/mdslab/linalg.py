@@ -99,6 +99,11 @@ class Matrix:
             out = add[out, mul[self.a[:, j][:, None], other.a[j][None, :]]]
         return Matrix(self.field, out)
 
+    def matvec(self, w: Sequence[int]) -> np.ndarray:
+        """Right product G @ w as a length-nrows vector."""
+        col = Matrix(self.field, np.asarray(w, dtype=np.int16).reshape(-1, 1))
+        return (self @ col).a[:, 0].copy()
+
     # -- text form -----------------------------------------------------------
 
     def format(self, style: str = "auto") -> str:
@@ -144,9 +149,11 @@ def _rref_inplace(field: Field, a: np.ndarray) -> tuple[int, ...]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = mul[a[r], inv[a[r, c]]]
-        f = a[:, c].copy()
-        f[r] = 0
-        a[:] = sub[a, mul[f[:, None], a[r][None, :]]]
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            f = a[others, c]
+            a[others] = sub[a[others], mul[f[:, None], a[r][None, :]]]
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -160,13 +167,11 @@ def rref(M: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def eliminate(field: Field, a: np.ndarray) -> np.ndarray:
-    """Forward-eliminate a (B, r, c) int16 stack in place; the (B, c) pivot
-    row of each column, or -1 where it has none, so the pivot count is the rank.
-
-    Column j pivots on its first nonzero row, and every row, the pivot row
-    too, loses its multiple of that row from column j+1 on: a pivot row is
-    never chosen again and keeps its pivot at a[b, row, j].  A column with
-    no pivot scales its factors by inv[0] == 0 and changes nothing."""
+    """Forward-eliminate a (B, r, c) int16 stack in place; return the (B, c)
+    pivot row of each column, or -1 where it has none.  Every row, the pivot
+    row too, loses its multiple of the pivot row from column j+1 on, so a
+    pivot row is never chosen again; inv[0] == 0 makes a pivotless column a
+    no-op."""
     mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
     at = np.arange(a.shape[0])
     pivots = np.empty(a.shape[::2], dtype=np.intp)
@@ -198,11 +203,15 @@ def det(field: Field, a: np.ndarray) -> np.ndarray:
 def nullspace(M: Matrix) -> Matrix:
     """Basis of {x : M x^T = 0}, as rows; row count = cols - rank."""
     R, rk, pivots = rref(M)
-    free = [c for c in range(M.ncols) if c not in pivots]
-    basis = np.zeros((len(free), M.ncols), dtype=np.int16)
-    basis[range(len(free)), free] = 1
-    basis[:, list(pivots)] = M.field.neg_table[R.a[:rk, free]].T
-    return Matrix(M.field, basis)
+    f = M.field
+    cols = M.ncols
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int16)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for ri, pc in enumerate(pivots):
+            basis[bi, pc] = f.neg(int(R.a[ri, fc]))
+    return Matrix(f, basis.reshape(len(free), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +231,12 @@ def symmetric_sums(field: Field, values: Sequence[int]) -> tuple[int, int]:
     return e1, h2
 
 
-def _closed_form_factors(field: Field, points: Sequence[int]) -> tuple[int, int, int]:
-    """(e1, h2, product of a_j - a_i over i < j) of at least 3 distinct points."""
-    pts = require_distinct(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    diff = 1
-    for i, ai in enumerate(pts):
-        for aj in pts[i + 1:]:
-            diff = field.mul(diff, field.sub(aj, ai))
-    return (*symmetric_sums(field, pts), diff)
+def _pairwise_difference_product(field: Field, points: Sequence[int]) -> int:
+    out = 1
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            out = field.mul(out, field.sub(points[j], points[i]))
+    return out
 
 
 def vandermonde_det_skip_penultimate(field: Field, points: Sequence[int]) -> int:
@@ -239,8 +244,11 @@ def vandermonde_det_skip_penultimate(field: Field, points: Sequence[int]) -> int
 
     Closed form: (sum of the points) times the pairwise difference product.
     """
-    e1, _, diff = _closed_form_factors(field, points)
-    return field.mul(e1, diff)
+    pts = require_distinct(points)
+    if len(pts) < 3:
+        raise ValueError(f"need at least 3 points, got {len(pts)}")
+    e1, _ = symmetric_sums(field, pts)
+    return field.mul(e1, _pairwise_difference_product(field, pts))
 
 
 def vandermonde_det_skip_two(field: Field, points: Sequence[int]) -> int:
@@ -248,5 +256,8 @@ def vandermonde_det_skip_two(field: Field, points: Sequence[int]) -> int:
 
     Closed form: h2 = (sum)^2 - e2, times the pairwise difference product.
     """
-    _, h2, diff = _closed_form_factors(field, points)
-    return field.mul(h2, diff)
+    pts = require_distinct(points)
+    if len(pts) < 3:
+        raise ValueError(f"need at least 3 points, got {len(pts)}")
+    _, h2 = symmetric_sums(field, pts)
+    return field.mul(h2, _pairwise_difference_product(field, pts))

@@ -133,7 +133,7 @@ def check_det(fields: Sequence[Field] | None = None,
         fields = tuple(Field.from_order(q) for q in (5, 7, 8, 9))
     checked = 0
     for f in fields:
-        for size in sizes:           # no permutations when size > q
+        for size in sizes:
             table = power_matrix(f, range(f.q), range(size + 2)).a
             perms = itertools.permutations(range(f.q), size)
             while block := list(itertools.islice(perms, 1 << 16)):

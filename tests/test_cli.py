@@ -318,6 +318,30 @@ def test_config_refuses_flags_it_ignores(capsys, tmp_path, command, extra, flag)
     assert (code, out, err) == (2, "", f"error: {flag} does not apply to --config\n")
 
 
+def test_construct_g2_from_config_reads_tau_and_pi(capsys, tmp_path):
+    # a config carries no --tau or --pi, so g2 still takes them as flags
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"field": "gf(7)", "A": [1, 2, 3, 4],
+                                "v": "ones", "k": 3, "delta": 5}))
+    from_flags = run_cli(capsys, [
+        "construct", "--which", "g2", "--field", "gf(7)", "--points", "1,2,3,4",
+        "--k", "3", "--delta", "5", "--tau", "2", "--pi", "3"])
+    from_config = run_cli(capsys, [
+        "construct", "--which", "g2", "--config", str(path), "--tau", "2", "--pi", "3"])
+    assert from_config == from_flags
+    assert from_config[:2] == (0, "1,1,1,1,0,0,1;1,2,3,4,0,1,2;1,4,2,2,1,5,3\n")
+
+
+@pytest.mark.parametrize("which, flag", [("g1", "--tau"), ("gk", "--pi")])
+def test_config_refuses_tau_and_pi_outside_g2(capsys, tmp_path, which, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"field": "gf(7)", "A": [1, 2, 3, 4],
+                                "v": "ones", "k": 3, "delta": 5}))
+    code, out, err = run_cli(capsys, [
+        "construct", "--which", which, "--config", str(path), flag, "2"])
+    assert (code, out, err) == (2, "", f"error: {flag} does not apply to --config\n")
+
+
 def test_construct_from_config_file(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"field": "gf(4)", "A": [0, 1, "g"],
