@@ -12,8 +12,9 @@ quantity compared against delta for a subset S is (sum S)^2 - e2(S).
 
 The criteria run as one vectorized pass per config.  The size-t subset sums
 and delta quantities of a node set are int16 arrays in lex order, built by
-table lookups over an index array of combinations and kept in two bounded
-caches (1024 node-set entries each).  A "faces" table lists, for each size-t
+table lookups over an index array of combinations (the delta quantities by
+linalg.symmetric_sums over its rows) and kept in two bounded caches (1024
+node-set entries each).  A "faces" table lists, for each size-t
 subset, the lex ranks of its size-(t-1) subsets, so a universal clause is one
 .all(axis=1) over it.  One scan yields every clause's first witness, and
 criteria(cfg) turns it into the Criteria record of all four reports, which
@@ -35,6 +36,7 @@ import numpy as np
 from .gf import Field, parse_field
 from .linalg import (
     Matrix,
+    nonzero_product,
     power_matrix,
     require_distinct,
     symmetric_sums,
@@ -149,14 +151,9 @@ def lagrange_weights(field: Field, alphas: Sequence[int]) -> tuple[int, ...]:
     pts = require_distinct(alphas)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    out = []
-    for i, ai in enumerate(pts):
-        prod = 1
-        for j, aj in enumerate(pts):
-            if j != i:
-                prod = field.mul(prod, field.sub(ai, aj))
-        out.append(field.inv(prod))
-    return tuple(out)
+    diffs = field.sub_table[pts[:, None], pts]
+    np.fill_diagonal(diffs, 1)
+    return tuple(field.inv_table[nonzero_product(field, diffs)].tolist())
 
 
 def weighted_power_sum(field: Field, alphas: Sequence[int], ell: int) -> int:
@@ -176,7 +173,7 @@ def weighted_power_sum(field: Field, alphas: Sequence[int], ell: int) -> int:
     if ell == n - 1:
         return 1
     e1, h2 = symmetric_sums(field, pts)
-    return e1 if ell == n else h2
+    return int(e1 if ell == n else h2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +351,8 @@ def _subset_sums(field: Field, alphas: tuple[int, ...], t: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _subset_delta_values(field: Field, alphas: tuple[int, ...], t: int) -> np.ndarray:
-    """e1^2 - e2 = sum over i <= j of a_i a_j for each size-t subset, lex order.
-
-    Adding a node x to a subset S adds x * e1(S + x) to the quantity, so one
-    pass over the subset's columns builds e1 and the quantity together.
-    """
-    add, mul = field.add_table, field.mul_table
-    vals = _subset_values(alphas, t)
-    e1 = h2 = np.zeros(len(vals), dtype=np.int16)
-    for x in vals.T:
-        e1 = add[e1, x]
-        h2 = add[h2, mul[x, e1]]
+    """e1^2 - e2 = sum over i <= j of a_i a_j for each size-t subset, lex order."""
+    _, h2 = symmetric_sums(field, _subset_values(alphas, t))
     h2.flags.writeable = False
     return h2
 

@@ -3,7 +3,8 @@
 Everything here is small, dense and runs on the field's lookup tables, in
 two elimination loops: Gauss-Jordan on one matrix for rref and nullspace,
 and eliminate, forward elimination over a whole (B, r, c) stack at once,
-for determinants and the distance oracle's rank scan.
+for determinants and the distance oracle's rank scan.  The closed forms work
+over the last axis, on one point tuple or a whole stack of them.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ class DuplicatePointsError(ValueError):
     """Evaluation points are required to be pairwise distinct."""
 
 
-def require_distinct(points: Sequence[int]) -> tuple[int, ...]:
-    pts = tuple(int(a) for a in points)
-    if len(set(pts)) != len(pts):
-        raise DuplicatePointsError(f"evaluation points are not distinct: {pts}")
+def require_distinct(points: np.typing.ArrayLike) -> np.ndarray:
+    """points as an intp array, each row along its last axis pairwise distinct."""
+    pts = np.array(points, dtype=np.intp)
+    if np.count_nonzero(pts[..., :, None] == pts[..., None, :]) != pts.size:
+        bad = next(r for r in pts.reshape(-1, pts.shape[-1]).tolist()
+                   if len(set(r)) != len(r))
+        raise DuplicatePointsError(f"evaluation points are not distinct: {tuple(bad)}")
     return pts
 
 
@@ -194,8 +198,7 @@ def det(field: Field, a: np.ndarray) -> np.ndarray:
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NotSquareError(f"determinants need a (B, n, n) stack, got {a.shape}")
     pivots = eliminate(field, a)
-    lead = np.take_along_axis(a, pivots[:, None, :], axis=1)[:, 0]
-    d = field.exp[field.log[lead].sum(axis=1) % (field.q - 1)]
+    d = nonzero_product(field, np.take_along_axis(a, pivots[:, None, :], axis=1)[:, 0])
     odd = np.triu(pivots[:, :, None] > pivots[:, None, :], 1).sum(axis=(1, 2)) % 2
     return np.where((pivots < 0).any(axis=1), 0, np.where(odd, field.neg_table[d], d))
 
@@ -215,49 +218,57 @@ def nullspace(M: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# symmetric functions and the two Vandermonde-variant determinants
+# closed forms over the last axis
 # ---------------------------------------------------------------------------
 
-def symmetric_sums(field: Field, values: Sequence[int]) -> tuple[int, int]:
-    """(e1, h2): the sum, and h2 = e1^2 - e2 = sum over i <= j of a_i*a_j.
+def nonzero_product(field: Field, a: np.ndarray) -> np.ndarray:
+    """Product over the last axis of nonzero elements, as a sum of logs."""
+    return field.exp[field.log[a].sum(axis=-1) % (field.q - 1)]
+
+
+def symmetric_sums(field: Field, values: np.typing.ArrayLike) -> tuple[np.ndarray, ...]:
+    """(e1, h2) over the last axis: the sum, and h2 = e1^2 - e2 = the sum over
+    i <= j of a_i*a_j.
 
     Adding a value x adds x * e1 (with x counted in e1) to h2, which holds in
-    every characteristic.
+    every characteristic.  Looping over the transpose, not a moved axis,
+    keeps a call on a few values at a few microseconds.
     """
-    e1 = h2 = 0
-    for x in values:
-        e1 = field.add(e1, x)
-        h2 = field.add(h2, field.mul(x, e1))
-    return e1, h2
+    add, mul = field.add_table, field.mul_table
+    vals = np.asarray(values, dtype=np.intp).T
+    e1 = h2 = np.zeros(vals.shape[1:], dtype=np.int16)
+    for x in vals:
+        e1 = add[e1, x]
+        h2 = add[h2, mul[x, e1]]
+    return e1.T, h2.T
 
 
-def _pairwise_difference_product(field: Field, points: Sequence[int]) -> int:
-    out = 1
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            out = field.mul(out, field.sub(points[j], points[i]))
-    return out
+def _closed_form_factors(field: Field, points: np.typing.ArrayLike) -> tuple:
+    """e1, h2 and the product over i < j of (a_j - a_i), for each row of
+    (..., n) distinct points, n >= 3."""
+    pts = require_distinct(points)
+    if pts.shape[-1] < 3:
+        raise ValueError(f"need at least 3 points, got {pts.shape[-1]}")
+    i, j = np.triu_indices(pts.shape[-1], 1)
+    return (*symmetric_sums(field, pts),
+            nonzero_product(field, field.sub_table[pts[..., j], pts[..., i]]))
 
 
-def vandermonde_det_skip_penultimate(field: Field, points: Sequence[int]) -> int:
-    """det of the matrix with power rows 0..n-2 and n (the n-1 row dropped).
+def vandermonde_det_skip_penultimate(field: Field, points: np.typing.ArrayLike) -> np.ndarray:
+    """det of the matrix with power rows 0..n-2 and n (the n-1 row dropped),
+    for each row of (..., n) points.
 
     Closed form: (sum of the points) times the pairwise difference product.
     """
-    pts = require_distinct(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    e1, _ = symmetric_sums(field, pts)
-    return field.mul(e1, _pairwise_difference_product(field, pts))
+    e1, _, delta = _closed_form_factors(field, points)
+    return field.mul_table[e1, delta]
 
 
-def vandermonde_det_skip_two(field: Field, points: Sequence[int]) -> int:
-    """det of the matrix with power rows 0..n-2 and n+1 (rows n-1, n dropped).
+def vandermonde_det_skip_two(field: Field, points: np.typing.ArrayLike) -> np.ndarray:
+    """det of the matrix with power rows 0..n-2 and n+1 (rows n-1, n dropped),
+    for each row of (..., n) points.
 
     Closed form: h2 = (sum)^2 - e2, times the pairwise difference product.
     """
-    pts = require_distinct(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    _, h2 = symmetric_sums(field, pts)
-    return field.mul(h2, _pairwise_difference_product(field, pts))
+    _, h2, delta = _closed_form_factors(field, points)
+    return field.mul_table[h2, delta]

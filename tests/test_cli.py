@@ -601,6 +601,14 @@ def test_verify_cli_refuses_field(capsys):
     (["verify", "mds", "--orders", ""], "bad --orders value ''"),
     (["verify", "powersum", "--quick", "--format", "csv"],
      "argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
+    # P(1024, 3) + P(1024, 4) point permutations, refused before any suite
+    # runs (powersum, first in "all", would not end on gf(1024) either)
+    (["verify", "det", "--orders", "1024", "--quick"],
+     "the det scope has 1094151303168 point permutations, "
+     "more than the cap of 2097152"),
+    (["verify", "all", "--orders", "1024", "--quick"],
+     "the det scope has 1094151303168 point permutations, "
+     "more than the cap of 2097152"),
 ])
 def test_verify_cli_input_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

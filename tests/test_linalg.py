@@ -371,8 +371,12 @@ def test_vandermonde_det_size_five_sampled():
 def test_vandermonde_det_errors():
     with pytest.raises(DuplicatePointsError):
         vandermonde_det_skip_penultimate(GF7, (1, 2, 1))
+    with pytest.raises(DuplicatePointsError, match=r"not distinct: \(4, 0, 4\)$"):
+        vandermonde_det_skip_two(GF7, [[1, 2, 3], [4, 0, 4], [5, 5, 6]])
     with pytest.raises(ValueError):
         vandermonde_det_skip_two(GF7, (1, 2))
+    with pytest.raises(ValueError, match="need at least 3 points, got 2"):
+        vandermonde_det_skip_penultimate(GF7, [[1, 2], [3, 4]])
 
 
 def test_symmetric_sums_match_the_double_sum():
@@ -389,3 +393,38 @@ def test_symmetric_sums_match_the_double_sum():
                 for j in range(i, size):
                     h2 = f.add(h2, f.mul(vals[i], vals[j]))
             assert symmetric_sums(f, vals) == (e1, h2)
+
+
+@st.composite
+def value_stacks(draw, distinct: bool):
+    """(field, (..., n) values) over q <= 64 with one or two batch axes: for
+    distinct=True, 3 <= n <= 6 distinct points a row; else 0 <= n <= 6
+    values with repeats allowed."""
+    f = Field.from_order(draw(st.sampled_from([q for q in FIELDS_UP_TO_64 if q >= 3])))
+    n = draw(st.integers(3, min(f.q, 6))) if distinct else draw(st.integers(0, 6))
+    batch = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    row = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n, unique=distinct)
+    rows = [draw(row) for _ in range(int(np.prod(batch)))]
+    return f, np.array(rows, dtype=np.intp).reshape(*batch, n)
+
+
+@given(value_stacks(distinct=True))
+def test_closed_forms_of_a_stack_match_det(case):
+    f, pts = case
+    n = pts.shape[-1]
+    rows = pts.reshape(-1, n)
+    for closed_form, top in ((vandermonde_det_skip_penultimate, n),
+                             (vandermonde_det_skip_two, n + 1)):
+        powers = np.array([power_matrix(f, r, [*range(n - 1), top]).a for r in rows])
+        assert closed_form(f, pts).shape == pts.shape[:-1]
+        assert closed_form(f, pts).ravel().tolist() == det(f, powers).tolist()
+
+
+@given(value_stacks(distinct=False))
+def test_symmetric_sums_of_a_stack_are_its_rows(case):
+    f, vals = case
+    e1, h2 = symmetric_sums(f, vals)
+    assert e1.shape == h2.shape == vals.shape[:-1]
+    rows = [symmetric_sums(f, r.tolist()) for r in vals.reshape(e1.size, -1)]
+    assert list(zip(e1.ravel().tolist(), h2.ravel().tolist())) == \
+        [(int(a), int(b)) for a, b in rows]

@@ -4,13 +4,17 @@ per config, each suite stopping at its own first counterexample."""
 from __future__ import annotations
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from mdslab import verify
+from mdslab.cli import main
 from mdslab.codes import AMDS_ONLY_PRIMAL, MDS, NMDS
 from mdslab.construction import EvalConfig, extension_vector, parity_check_matrix
 from mdslab.gf import Field
+from mdslab.linalg import Matrix
 from mdslab.verify import (
     CRITERION_SUITES,
     SWEEP_SUITES,
@@ -117,6 +121,45 @@ def test_wrong_parity_check_fails_only_parity(monkeypatch):
     assert verify.check_parity(FIELDS, MAX_N) == results[0]
 
 
+def chosen_parity_check(wrong):
+    """parity_check_matrix, but wrong(H) at CHOSEN."""
+    def faulty(cfg):
+        H = parity_check_matrix(cfg)
+        return Matrix(H.field, wrong(H.a)) if cfg == CHOSEN else H
+    return faulty
+
+
+@pytest.mark.parametrize("wrong, reason", [
+    # the last row repeats the first: G.H^T is still 0, but H is rank-deficient
+    (lambda a: np.vstack([a[:-1], a[:1]]), "row space is not the dual"),
+    # one zero column too many: G.H^T would not even multiply
+    (lambda a: np.hstack([a, np.zeros_like(a[:, :1])]), "bad shape"),
+], ids=["rank-deficient", "one-column-wide"])
+def test_broken_parity_check_is_a_counterexample(capsys, monkeypatch, wrong, reason):
+    monkeypatch.setattr(verify, "parity_check_matrix", chosen_parity_check(wrong))
+    code = main(["verify", "parity", "--orders", "4,5", "--max-n", str(MAX_N),
+                 "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [SuiteResult(
+        "parity", False, CHOSEN_POSITION,
+        {"config": CHOSEN_JSON, "reason": reason}).to_json()]
+
+
+def test_refused_extension_vector_is_a_counterexample(capsys, monkeypatch):
+    # one entry short: extend_code refuses it with a length mismatch
+    def short(cfg):
+        w = extension_vector(cfg)
+        return w[:-1] if cfg == CHOSEN else w
+    monkeypatch.setattr(verify, "extension_vector", short)
+    code = main(["verify", "extend", "--orders", "4,5", "--max-n", str(MAX_N),
+                 "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [SuiteResult(
+        "extend", False, CHOSEN_POSITION, {"config": CHOSEN_JSON}).to_json()]
+
+
 def test_sweep_ends_when_every_suite_has_failed(monkeypatch, scanned, built):
     verify.classified.cache_clear()         # so classified builds what it sees
     # reported NMDS, every one of the four verdicts breaks the rule
@@ -175,8 +218,12 @@ def test_det_failure_inside_a_stack_replays(monkeypatch, quick, checked):
     closed_form = verify.vandermonde_det_skip_two
 
     def faulty(f, pts):
+        """The closed forms of a (B, n) stack, one more at DET_BROKEN."""
         d = closed_form(f, pts)
-        return f.add(d, 1) if (f, tuple(pts)) == (f7, DET_BROKEN) else d
+        if f == f7 and pts.shape[-1] == len(DET_BROKEN):
+            hit = (pts == DET_BROKEN).all(axis=-1)
+            d = np.where(hit, f.add_table[d, 1], d)
+        return d
     monkeypatch.setattr(verify, "vandermonde_det_skip_two", faulty)
     (result,) = run_suites(["det"], quick=quick)
     assert result.to_json() == {
