@@ -38,7 +38,7 @@ from .search import (
     records_to_text,
     run_search,
 )
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, SWEEP_SUITES, run_suites
 
 
 class UsageError(ValueError):
@@ -261,7 +261,19 @@ def cmd_search(args) -> int:
     return 0
 
 
+# verify suite -> the scope flags it reads besides --quick
+VERIFY_READS = {"det": ("orders",), "schur": (),
+                **dict.fromkeys(("powersum", "all") + SWEEP_SUITES,
+                                ("orders", "max_n"))}
+
+
 def cmd_verify(args) -> int:
+    unread = [name for name in ("orders", "max_n")
+              if getattr(args, name) is not None
+              and name not in VERIFY_READS[args.suite]]
+    if unread:
+        raise UsageError(f"--{unread[0].replace('_', '-')} does not apply to "
+                         f"verify {args.suite}")
     if args.max_n is not None and args.max_n < 3:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -274,6 +286,9 @@ def cmd_verify(args) -> int:
         if min(orders) < 3:
             raise UsageError("--orders: field orders must be at least 3, "
                              f"got {min(orders)}")
+        repeated = [q for i, q in enumerate(orders) if q in orders[:i]]
+        if repeated:
+            raise UsageError(f"repeated field order {repeated[0]} in --orders")
         fields = tuple(Field.from_order(q) for q in orders)
     results = run_suites(names, fields=fields, max_n=args.max_n,
                          quick=args.quick)

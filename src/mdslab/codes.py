@@ -105,7 +105,7 @@ class LinearCode:
         """[N, N-k] orthogonal code; needs k < N."""
         if self.dimension == self.length:
             raise BadDimensionError("dual of the full space is zero-dimensional")
-        return LinearCode(nullspace(self.generator))
+        return LinearCode(nullspace(self.rref_generator))
 
     @cached_property
     def min_distance(self) -> int:
@@ -368,6 +368,5 @@ def extend_code(code: LinearCode, w: Sequence[int]) -> LinearCode:
             f"extension vector has length {len(wl)}, code has length {code.length}")
     if not any(wl):
         raise ZeroExtensionVectorError("extension vector must be nonzero")
-    col = code.generator.matvec(wl)
-    G = code.generator.hstack(Matrix(code.field, col.reshape(-1, 1)))
-    return LinearCode(G)
+    col = code.generator @ Matrix(code.field, [[x] for x in wl])
+    return LinearCode(code.generator.hstack(col))

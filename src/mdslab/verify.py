@@ -68,6 +68,8 @@ QUICK_MAX_N = 5
 MAX_SWEEP_K = 5
 DET_FIELD_ORDERS = (5, 7, 8, 9)
 DET_CAP = 1 << 21     # point permutations: ~15 s at ~150 000 a second (size 5)
+POWERSUM_CAP = 1 << 20    # checks: ~15-25 s at 45 000-75 000 a second
+SWEEP_CAP = 1 << 15   # configs: ~40-65 s at 500-860 a second; the default is 14 925
 
 SUITE_NAMES = ("powersum", "det", "parity", "extend",
                "mds", "amds", "dual-amds", "nmds", "schur")
@@ -288,10 +290,17 @@ def check_schur(quick: bool = False) -> SuiteResult:
 # orchestration
 # ---------------------------------------------------------------------------
 
+def _refuse_past_cap(scope: str, count: int, unit: str, cap: int) -> None:
+    if count > cap:
+        raise ValueError(f"the {scope} scope has {count} {unit}, "
+                         f"more than the cap of {cap}")
+
+
 def run_suites(names: Sequence[str], fields: Sequence[Field] | None = None,
                max_n: int | None = None, quick: bool = False) -> list[SuiteResult]:
     """Results of the named suites, in the order named; the per-config suites
-    among them share one sweep."""
+    among them share one sweep.  A det, powersum or sweep scope past its cap
+    is refused before any suite runs."""
     unknown = [name for name in names if name not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}")
@@ -302,15 +311,22 @@ def run_suites(names: Sequence[str], fields: Sequence[Field] | None = None,
         max_n = QUICK_MAX_N if quick else DEFAULT_MAX_N
     det_sizes = (3, 4) if quick else (3, 4, 5)
     det_orders = DET_FIELD_ORDERS if fields is None else [f.q for f in fields]
-    det_count = sum(math.perm(q, size) for q in det_orders for size in det_sizes)
-    if "det" in names and det_count > DET_CAP:
-        raise ValueError(f"the det scope has {det_count} point permutations, "
-                         f"more than the cap of {DET_CAP}")
+    jobs = sweep_jobs(sweep_fields, max_n)
+    swept_names = [name for name in names if name in SWEEP_SUITES]
+    if "det" in names:
+        _refuse_past_cap("det", sum(math.perm(q, size) for q in det_orders
+                                    for size in det_sizes),
+                         "point permutations", DET_CAP)
+    if "powersum" in names:
+        _refuse_past_cap("powersum", sum(job.point_set_count() * (job.n + 2)
+                                         for job in jobs), "checks", POWERSUM_CAP)
+    if swept_names:
+        _refuse_past_cap("sweep", sum(job.planned_count() for job in jobs),
+                         "configs", SWEEP_CAP)
     suites = {
         "powersum": lambda: check_powersum(sweep_fields, max_n),
         "det": lambda: check_det(fields=fields, sizes=det_sizes),
         "schur": lambda: check_schur(quick=quick),
     }
-    swept = sweep(sweep_fields, max_n,
-                  [name for name in names if name in SWEEP_SUITES])
+    swept = sweep(sweep_fields, max_n, swept_names)
     return [swept[name] if name in swept else suites[name]() for name in names]

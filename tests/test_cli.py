@@ -609,6 +609,22 @@ def test_verify_cli_refuses_field(capsys):
     (["verify", "all", "--orders", "1024", "--quick"],
      "the det scope has 1094151303168 point permutations, "
      "more than the cap of 2097152"),
+    # sum over node sets of size 3..5 of gf(1024) of n + 2 checks each
+    (["verify", "powersum", "--orders", "1024", "--quick"],
+     "the powersum scope has 65312464290304 checks, "
+     "more than the cap of 1048576"),
+    (["verify", "mds", "--orders", "64", "--max-n", "7"],
+     "the sweep scope has 135216488448 configs, more than the cap of 32768"),
+    # a flag the suite does not read, and an order that would be swept twice
+    (["verify", "schur", "--orders", "4", "--quick"],
+     "--orders does not apply to verify schur"),
+    (["verify", "schur", "--max-n", "4"], "--max-n does not apply to verify schur"),
+    (["verify", "det", "--max-n", "4", "--quick"],
+     "--max-n does not apply to verify det"),
+    (["verify", "det", "--orders", "4,4", "--quick"],
+     "repeated field order 4 in --orders"),
+    (["verify", "powersum", "--orders", "5,7,5", "--max-n", "3"],
+     "repeated field order 5 in --orders"),
 ])
 def test_verify_cli_input_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mdslab import linalg
 from mdslab.gf import Field
 from mdslab.linalg import Matrix, power_matrix, rref
 from mdslab.codes import (
@@ -38,6 +39,7 @@ from mdslab.codes import (
     schur_product,
     schur_square,
 )
+from mdslab.construction import EvalConfig, family_code
 
 GF4 = Field.from_order(4)
 GF7 = Field.from_order(7)
@@ -186,6 +188,26 @@ def test_dual_and_orthogonality():
             assert codes_equal(c.dual.dual, c)
     with pytest.raises(BadDimensionError):
         LinearCode(Matrix(GF7, np.eye(3, dtype=int))).dual
+
+
+@pytest.mark.parametrize("q, nodes, k, delta", [
+    (9, (0, 1, 2, 3, 4), 3, 1),
+    (7, (1, 2, 3, 4), 3, 0),
+    (1024, (1, 2, 3, 4, 5, 6, 7), 4, 5),
+])
+def test_classify_reduces_each_matrix_once(monkeypatch, q, nodes, k, delta):
+    """A code and its dual take two reductions, G's and the dual basis's:
+    the basis is read off the code's own RREF, not reduced from G again."""
+    seen = []
+    reduce = linalg._rref_inplace
+
+    def recording(field, a):
+        seen.append((a.shape, a.tobytes()))
+        return reduce(field, a)
+
+    monkeypatch.setattr(linalg, "_rref_inplace", recording)
+    classify(family_code(EvalConfig.ones(Field.from_order(q), nodes, k, delta)))
+    assert len(seen) == len(set(seen)) == 2
 
 
 def test_codes_equal_semantics():

@@ -72,6 +72,29 @@ def test_chosen_config_position():
     assert verify.classified(CHOSEN).kind == MDS
 
 
+@pytest.mark.parametrize("suite, cap", [("powersum", "POWERSUM_CAP"),
+                                        ("mds", "SWEEP_CAP")])
+def test_scope_cap_counts_the_checks_a_suite_makes(monkeypatch, suite, cap):
+    """A cap equal to the checks a suite makes lets it run; one below refuses
+    it before it runs, naming that count."""
+    (result,) = run_suites([suite], fields=FIELDS, max_n=MAX_N)
+    monkeypatch.setattr(verify, cap, result.checked)
+    assert run_suites([suite], fields=FIELDS, max_n=MAX_N) == [result]
+    monkeypatch.setattr(verify, cap, result.checked - 1)
+    with pytest.raises(ValueError, match=f"scope has {result.checked} "):
+        run_suites([suite], fields=FIELDS, max_n=MAX_N)
+
+
+def test_default_scopes_are_under_their_caps(monkeypatch):
+    """verify all and verify all --quick pass every cap (suites stubbed)."""
+    monkeypatch.setattr(verify, "sweep", lambda fields, max_n, names: {
+        name: SuiteResult(name, True, 0) for name in names})
+    for suite in ("powersum", "det", "schur"):
+        monkeypatch.setattr(verify, f"check_{suite}", lambda *a, **kw: None)
+    for quick in (False, True):
+        assert len(run_suites(verify.SUITE_NAMES, quick=quick)) == 9
+
+
 def test_four_suites_scan_each_config_once(scanned):
     results = run_suites(["nmds", "powersum", "mds", "dual-amds", "amds"],
                          fields=FIELDS, max_n=MAX_N)
