@@ -261,19 +261,25 @@ def cmd_search(args) -> int:
     return 0
 
 
-# verify suite -> the scope flags it reads besides --quick
-VERIFY_READS = {"det": ("orders",), "schur": (),
-                **dict.fromkeys(("powersum", "all") + SWEEP_SUITES,
-                                ("orders", "max_n"))}
+# verify suite -> the scope flags it reads; where --quick is not listed, it
+# only picks the default --orders and --max-n, so beside both it is unread
+VERIFY_READS = {"det": ("orders", "quick"), "schur": ("quick",),
+                "all": ("orders", "max_n", "quick"),
+                **dict.fromkeys(("powersum",) + SWEEP_SUITES, ("orders", "max_n"))}
 
 
 def cmd_verify(args) -> int:
-    unread = [name for name in ("orders", "max_n")
-              if getattr(args, name) is not None
-              and name not in VERIFY_READS[args.suite]]
+    reads = VERIFY_READS[args.suite]
+    if args.orders is None or args.max_n is None:
+        reads += ("quick",)
+    unread = [name for name in ("orders", "max_n", "quick")
+              if getattr(args, name) not in (None, False) and name not in reads]
     if unread:
+        where = f"verify {args.suite}"
+        if unread[0] == "quick":
+            where += " with --orders and --max-n"
         raise UsageError(f"--{unread[0].replace('_', '-')} does not apply to "
-                         f"verify {args.suite}")
+                         f"{where}")
     if args.max_n is not None and args.max_n < 3:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)

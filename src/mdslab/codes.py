@@ -12,6 +12,13 @@ independent of the family's criteria and of its closed-form parity check:
 
 The method is chosen by its work predicted from (q, N, k) alone, and
 ENUMERATION_CAP on that predicted work is enforced, not assumed.
+
+A whole stack of generators, as search evaluates them, takes a third way:
+one column-rank profile gives d and the dual distance d-dual together, for
+d-dual is the size of the smallest linearly dependent set of G's columns,
+so no dual code is built.  The profile ranks the size-k column subsets of
+every entry once, then scans up for d and down for d-dual on the entries
+still undecided.  Its Schur screen is one batched rank as well.
 """
 
 from __future__ import annotations
@@ -112,18 +119,34 @@ class LinearCode:
         return _min_weight(self.field, self.generator.a)
 
 
-def _min_weight(field: Field, G: np.ndarray) -> int:
-    """Minimum Hamming weight of the row space of G, by the cheaper exact method."""
-    k, N = G.shape
-    method, work = _oracle_plan(field.q, N, k)
-    if work > ENUMERATION_CAP:
-        raise TooLargeToEnumerateError(
-            f"{method} of a [{N},{k}] code over GF({field.q}) would take about "
-            f"{work:.2g} table lookups, which exceeds the cap of 2^"
-            f"{ENUMERATION_CAP.bit_length() - 1}")
+def _min_weight(field: Field, G: np.ndarray):
+    """Minimum Hamming weight of the row space of a (k, N) matrix G, by the
+    cheaper exact method.
+
+    For a (B, k, N) stack of full-rank generators, the (d, d-dual) arrays of
+    each entry's code, from one column-rank profile of the stack; the dual's
+    shape [N, N-k] is held to the cap as well, as its own code would be.
+    """
+    *_, k, N = G.shape
+    method = _planned_method(field.q, N, k)
+    if G.ndim == 3:
+        _planned_method(field.q, N, N - k)
+        return _distance_profile(field, G)
     if method == RANK_SCAN:
         return _rank_scan_min_weight(field, G)
     return _projective_min_weight(field, G)
+
+
+def _planned_method(q: int, N: int, k: int) -> str:
+    """The cheaper exact method for an [N, k] code over GF(q); refuses a code
+    whose cheaper method is predicted past ENUMERATION_CAP."""
+    method, work = _oracle_plan(q, N, k)
+    if work > ENUMERATION_CAP:
+        raise TooLargeToEnumerateError(
+            f"{method} of a [{N},{k}] code over GF({q}) would take about "
+            f"{work:.2g} table lookups, which exceeds the cap of 2^"
+            f"{ENUMERATION_CAP.bit_length() - 1}")
+    return method
 
 
 def _oracle_plan(q: int, N: int, k: int) -> tuple[str, int]:
@@ -200,27 +223,73 @@ def _rank_scan_min_weight(field: Field, G: np.ndarray) -> int:
     with no deficient column set is one past the largest zero set.
     """
     k, N = G.shape
-    columns = np.ascontiguousarray(G.T)
+    columns = G.T[None]
     for s in range(k, N):
-        if not _some_rank_deficient(field, columns, s):
+        if not _some_rank_below(field, columns, s, k)[0]:
             return N - s + 1
     return 1  # all N columns together have rank k
 
 
-def _some_rank_deficient(field: Field, columns: np.ndarray, s: int) -> bool:
-    """Whether some s of the given length-k vectors span less than GF(q)^k:
-    where linalg.eliminate, on blocks of up to _CHUNK subsets stacked as
-    (subsets, s, k), leaves one of the k coordinates without a pivot."""
-    N, k = columns.shape
+def _distance_profile(field: Field, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, d-dual) of each full-rank generator of a (B, k, N) stack, from the
+    ranks of its column subsets alone.
+
+    d is the rank scan's.  d-dual is the size of the smallest linearly
+    dependent set of columns (MacWilliams & Sloane, ch. 1, thm 10, read on
+    the dual, whose parity-check matrix is G).  Size k decides both: with no
+    deficient k-subset the code is MDS, d = N-k+1 and d-dual = k+1.  Past it
+    the scan goes up for d and down for d-dual, each size on the entries
+    still undecided only.
+    """
+    B, k, N = G.shape
+    columns = G.transpose(0, 2, 1)
+    d = np.full(B, N - k + 1)
+    dual = np.full(B, k + 1)
+    live = np.flatnonzero(_some_rank_below(field, columns, k, k))
+    d[live] = N - k
+    dual[live] = k
+    up = down = live
+    for s in range(k + 1, N):
+        if not up.size:
+            break
+        up = up[_some_rank_below(field, columns[up], s, k)]
+        d[up] = N - s
+    for s in range(k - 1, 0, -1):
+        if not down.size:
+            break
+        down = down[_some_rank_below(field, columns[down], s, s)]
+        dual[down] = s
+    return d, dual
+
+
+def _some_rank_below(field: Field, columns: np.ndarray, s: int,
+                     rank: int) -> np.ndarray:
+    """(B,) whether some s of each entry's N length-k vectors, a (B, N, k)
+    stack, span fewer than rank dimensions.
+
+    The s-subsets are stacked as (entries x subsets, s, k) in blocks of at
+    most 2^20 values; linalg.eliminate leaves a coordinate without a pivot
+    for each dimension missing from the span.  An entry leaves the scan at
+    its first low-rank subset.
+    """
+    B, N, k = columns.shape
+    found = np.zeros(B, dtype=bool)
+    per_call = min(_CHUNK, (_CHUNK << 4) // (s * k))    # matrices per elimination
     combos = itertools.combinations(range(N), s)
-    chunk = min(_CHUNK, (_CHUNK << 4) // (s * k))  # at most 2^20 entries
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(combos, chunk)), dtype=np.intp)
-        if flat.size == 0:
-            return False
-        if (eliminate(field, columns[flat.reshape(-1, s)]) < 0).any():
-            return True
+    while not found.all():
+        subsets = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, per_call)), dtype=np.intp).reshape(-1, s)
+        if not subsets.size:
+            break
+        live = np.flatnonzero(~found)
+        step = max(1, per_call // len(subsets))
+        for lo in range(0, live.size, step):
+            at = live[lo:lo + step]
+            pivots = eliminate(field, columns[at[:, None, None], subsets]
+                               .reshape(-1, s, k))
+            low = (pivots >= 0).sum(axis=1) < rank
+            found[at] = low.reshape(len(at), -1).any(axis=1)
+    return found
 
 
 def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:
@@ -269,18 +338,22 @@ class Classification:
             "class": self.kind,
         }
 
+    @classmethod
+    def of_distances(cls, N: int, k: int, d: int, dual_d: int) -> "Classification":
+        """The classification of an [N, k] code with distance d whose dual
+        has distance dual_d."""
+        s = N - k + 1 - d
+        sd = k + 1 - dual_d
+        return cls(class_label(s == 0, s == 1, sd == 1), s, sd, d, dual_d, N, k)
+
 
 def classify(code: LinearCode) -> Classification:
     """Singleton-defect classification of code and dual; needs 1 <= k <= N-1."""
     if code.dimension == code.length:
         raise BadDimensionError(
             "classification needs a nonzero dual (dimension < length)")
-    d = code.min_distance
-    dd = code.dual.min_distance
-    s = code.length - code.dimension + 1 - d
-    sd = code.dimension + 1 - dd
-    return Classification(class_label(s == 0, s == 1, sd == 1), s, sd, d, dd,
-                          code.length, code.dimension)
+    return Classification.of_distances(code.length, code.dimension,
+                                       code.min_distance, code.dual.min_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +407,27 @@ class GrsReport:
         return {"method": self.method, "evidence": self.evidence, "verdict": self.verdict}
 
 
+SQUARE_DIMENSION = "SquareDimension"
+DUAL_SQUARE_DISTANCE = "DualSquareDistance"
+NOT_APPLICABLE = "NotApplicable"
+
+
+def schur_method(N: int, k: int) -> str:
+    """The Schur screen that applies to an [N, k] code; see grs_consistency_test."""
+    if 3 <= k and 2 * k < N + 1:
+        return SQUARE_DIMENSION
+    if 3 <= N - k and 2 * (N - k) < N + 1:
+        return DUAL_SQUARE_DISTANCE
+    return NOT_APPLICABLE
+
+
+def _square_dimension_report(k: int, dim2: int) -> GrsReport:
+    """The SquareDimension screen of a dimension-k code whose square has
+    dimension dim2."""
+    verdict = CONSISTENT_WITH_GRS if dim2 == 2 * k - 1 else NON_GRS
+    return GrsReport(verdict, SQUARE_DIMENSION, dim2)
+
+
 def grs_consistency_test(code: LinearCode) -> GrsReport:
     """One-directional GRS screen via Schur-square invariants.
 
@@ -343,17 +437,35 @@ def grs_consistency_test(code: LinearCode) -> GrsReport:
     in range.  A violated invariant certifies NonGRS (up to monomial
     equivalence); a satisfied one is only ConsistentWithGRS, never proof.
     """
-    N, k = code.length, code.dimension
-    if 3 <= k and 2 * k < N + 1:
-        dim2 = schur_square(code).dimension
-        verdict = CONSISTENT_WITH_GRS if dim2 == 2 * k - 1 else NON_GRS
-        return GrsReport(verdict, "SquareDimension", dim2)
-    kd = N - k
-    if 3 <= kd and 2 * kd < N + 1:
+    method = schur_method(code.length, code.dimension)
+    if method == SQUARE_DIMENSION:
+        return _square_dimension_report(code.dimension,
+                                        schur_square(code).dimension)
+    if method == DUAL_SQUARE_DISTANCE:
         d2 = schur_square(code.dual).min_distance
         verdict = NON_GRS if d2 < 2 else CONSISTENT_WITH_GRS
-        return GrsReport(verdict, "DualSquareDistance", d2)
-    return GrsReport(INCONCLUSIVE, "NotApplicable", None)
+        return GrsReport(verdict, method, d2)
+    return GrsReport(INCONCLUSIVE, method, None)
+
+
+def grs_consistency_reports(field: Field, G: np.ndarray) -> list[GrsReport] | None:
+    """grs_consistency_test of the code of each generator in a (B, k, N)
+    stack, all at once; None in the DualSquareDistance regime, whose screen
+    needs each code's dual.
+
+    A square's dimension is the rank of the k(k+1)/2 products of row i with
+    row j >= i, one pivot count of linalg.eliminate over the stack.
+    """
+    B, k, N = G.shape
+    method = schur_method(N, k)
+    if method == SQUARE_DIMENSION:
+        i, j = np.triu_indices(k)
+        pivots = eliminate(field, field.mul_table[G[:, i], G[:, j]])
+        return [_square_dimension_report(k, dim2)
+                for dim2 in (pivots >= 0).sum(axis=1).tolist()]
+    if method == NOT_APPLICABLE:
+        return [GrsReport(INCONCLUSIVE, method, None)] * B
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,30 @@ def family_code(cfg: EvalConfig) -> LinearCode:
     return _with_tail(f, block, tail)
 
 
+def family_generators(field: Field, nodes: np.typing.ArrayLike, k: int,
+                      deltas: Sequence[int]) -> np.ndarray:
+    """The generators of family_code with v all ones, for each row of the
+    (S, n) nodes and each delta, as one (S * len(deltas), k, n+2) stack,
+    node set-major.
+
+    The power rows come from repeated products of the nodes; no matrix is
+    reduced.  Each has rank k: its k-1 Vandermonde rows are independent on
+    the nodes, and the degree-k row alone reaches the first tail column.
+    """
+    mul = field.mul_table
+    pts = np.asarray(nodes, dtype=np.int16)
+    S, n = pts.shape
+    powers = [np.ones_like(pts)]
+    for _ in range(k):
+        powers.append(mul[powers[-1], pts])
+    G = np.zeros((S, len(deltas), k, n + 2), dtype=np.int16)
+    G[..., :n] = np.stack(powers[:k - 1] + powers[k:], axis=1)[:, None]
+    G[..., k - 1, n] = 1
+    G[..., k - 2, n + 1] = 1
+    G[..., k - 1, n + 1] = deltas
+    return G.reshape(-1, k, n + 2)
+
+
 def grs_two_column_code(field: Field, alphas: Sequence[int], k: int, delta: int) -> LinearCode:
     """Full power ladder 0..k-1 plus the two tail columns; needs n >= k+1 >= 4."""
     pts = require_distinct(alphas)

@@ -7,12 +7,22 @@ through one Criteria record (one subset-sum scan), and any verdict that breaks
 the record's rule aborts the whole run; a completed search doubles as an
 oracle cross-check over everything it visited.  A record serializes through
 the to_json of its parts.
+
+The walk runs in blocks of node sets, about BLOCK_CONFIGS configs each.  Each
+k of a block is one stack of generators, every node set times every delta,
+built without reducing any matrix; the distance oracle gives the stack's
+(d, d-dual) in one call, and the Schur screen its evidence in one batched
+rank, except where the screen needs each code's dual.  Criteria and the
+checks against them stay per config, in visit order, so a block reports the
+same first disagreement evaluate_config, the one-config path, would.
 Records matching the class filter are returned in visit order, so equal inputs
-give byte-identical output regardless of worker count.
+give byte-identical output regardless of worker count: with --jobs, a pool
+evaluates whole blocks and their records are joined in block order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,6 +36,7 @@ from typing import Iterable, Iterator
 
 import csv
 
+from . import codes
 from .gf import Field
 from .codes import (
     AMDS_ONLY_DUAL,
@@ -36,9 +47,16 @@ from .codes import (
     NMDS,
     OTHER,
     classify,
+    grs_consistency_reports,
     grs_consistency_test,
 )
-from .construction import Criteria, EvalConfig, criteria, family_code
+from .construction import (
+    Criteria,
+    EvalConfig,
+    criteria,
+    family_code,
+    family_generators,
+)
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .construction import (  # noqa: F401
     amds_criterion,
@@ -50,6 +68,7 @@ from .construction import (  # noqa: F401
 CODE_CLASSES = (MDS, NMDS, AMDS_ONLY_PRIMAL, AMDS_ONLY_DUAL, OTHER)
 
 DEFAULT_BUDGET = 10_000_000
+BLOCK_CONFIGS = 1024    # configs per block: bounds its stacks and its records
 
 CSV_COLUMNS = ("q", "n", "k", "delta", "A", "class", "d", "d_dual",
                "grs_verdict", "witness")
@@ -236,35 +255,86 @@ class SearchRecord:
         }
 
 
-def evaluate_config(cfg: EvalConfig) -> SearchRecord:
-    """Classify one config both ways; raise on any disagreement."""
-    code = family_code(cfg)     # classify and the Schur screen share code.dual
-    cls = classify(code)
+def _checked_criteria(cfg: EvalConfig, cls: Classification) -> Criteria:
+    """cfg's criteria, after checking each verdict against the oracle's cls."""
     crit = criteria(cfg)
     for name, predicted, actual in crit.checks(cls):
         if predicted != actual:
             raise SearchMismatchError(
                 cfg, f"{name} criterion says {predicted}, code says {actual}")
+    return crit
+
+
+def evaluate_config(cfg: EvalConfig) -> SearchRecord:
+    """Classify one config both ways; raise on any disagreement."""
+    code = family_code(cfg)     # classify and the Schur screen share code.dual
+    cls = classify(code)
+    crit = _checked_criteria(cfg, cls)
     return SearchRecord(cfg, cls, grs_consistency_test(code), crit)
+
+
+def _blocks(job: SearchJob) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The job's node sets in visit order, in blocks of about BLOCK_CONFIGS
+    configs (at least one node set)."""
+    per_set = len(job.k_values) * len(job.delta_list())
+    per_block = max(1, BLOCK_CONFIGS // per_set)
+    sets = point_sets(job)
+    while block := tuple(itertools.islice(sets, per_block)):
+        yield block
+
+
+def evaluate_block(job: SearchJob,
+                   block: tuple[tuple[int, ...], ...]) -> list[SearchRecord]:
+    """The records of the job's configs on these node sets that pass its
+    class filter, in visit order.
+
+    Raises what evaluate_config would on the first of them, in that order,
+    whose verdicts disagree; a shape past the oracle's cap is refused before
+    any record, as the first config's code would be.  Each k is one stack of
+    generators, every node set times every delta: its (d, d-dual) come from
+    one call of the distance oracle, and its Schur screens from one batched
+    call, except the dual-square screen, which builds each code as
+    evaluate_config does.
+    """
+    f, deltas, N = job.field, job.delta_list(), job.n + 2
+    stacks = {}
+    for k in job.k_values:
+        G = family_generators(f, block, k, deltas)
+        # looked up on the module at each call, as the benchmark's tracer
+        # (bench/tracing.py) wraps codes._min_weight there
+        d, dual_d = codes._min_weight(f, G)
+        stacks[k] = d.tolist(), dual_d.tolist(), grs_consistency_reports(f, G)
+    records = []
+    for i, alphas in enumerate(block):
+        for k in job.k_values:
+            d, dual_d, screens = stacks[k]
+            for b, delta in enumerate(deltas, i * len(deltas)):
+                cfg = EvalConfig.ones(f, alphas, k, delta)
+                cls = Classification.of_distances(N, k, d[b], dual_d[b])
+                crit = _checked_criteria(cfg, cls)
+                if screens is None:
+                    grs = grs_consistency_test(family_code(cfg))
+                else:
+                    grs = screens[b]
+                record = SearchRecord(cfg, cls, grs, crit)
+                if job.target is None or cls.kind == job.target:
+                    records.append(record)
+    return records
 
 
 def run_search(job: SearchJob) -> list[SearchRecord]:
     needed = job.planned_count()
     if needed > job.budget:
         raise BudgetExceededError(needed, job.budget)
-
-    def matching(records: Iterable[SearchRecord]) -> list[SearchRecord]:
-        # filter as records arrive, so unmatched ones are never held together
-        return [r for r in records
-                if job.target is None or r.classification.kind == job.target]
-
-    configs = iter_configs(job)
+    evaluate = functools.partial(evaluate_block, job)
     workers = job.workers()
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             # imap keeps input order, so parallel runs emit identical bytes
-            return matching(pool.imap(evaluate_config, configs, chunksize=8))
-    return matching(map(evaluate_config, configs))
+            blocks = list(pool.imap(evaluate, _blocks(job)))
+    else:
+        blocks = map(evaluate, _blocks(job))
+    return [r for block in blocks for r in block]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,21 @@ from mdslab.cli import main
 from mdslab.codes import (
     MDS,
     NON_GRS,
+    _min_weight,
     _projective_min_weight,
     _rank_scan_min_weight,
     classify,
     grs_code,
     schur_square,
 )
-from mdslab.construction import EvalConfig, family_code, non_grs_certificate
+from mdslab.construction import (
+    EvalConfig,
+    family_code,
+    family_generators,
+    non_grs_certificate,
+)
 from mdslab.gf import Field
+from mdslab.search import iter_configs, point_sets
 from mdslab.verify import (
     QUICK_FIELD_ORDERS,
     QUICK_MAX_N,
@@ -36,7 +43,6 @@ from mdslab.verify import (
     check_parity,
     check_powersum,
     check_schur,
-    sweep_configs,
     sweep_jobs,
 )
 
@@ -203,16 +209,26 @@ def plain_min_weight(field: Field, G: np.ndarray) -> int:
 
 
 def test_criterion_11_distance_oracles_agree():
-    """Rank scan, projective and plain enumeration agree on d and d-dual."""
+    """Rank scan, projective and plain enumeration agree on d and d-dual, and
+    so does the column-rank profile of each (field, n, k) stack of the sweep."""
     fields = tuple(Field.from_order(q) for q in QUICK_FIELD_ORDERS)
     checked = 0
-    for cfg in sweep_configs(fields, QUICK_MAX_N):
-        code = family_code(cfg)
-        for G in (code.generator.a, code.dual.generator.a):
-            d = plain_min_weight(cfg.field, G)
-            assert _rank_scan_min_weight(cfg.field, G) == d, cfg.to_json()
-            assert _projective_min_weight(cfg.field, G) == d, cfg.to_json()
-        checked += 1
+    for job in sweep_jobs(fields, QUICK_MAX_N):
+        f, sets = job.field, list(point_sets(job))
+        stacks = {k: family_generators(f, sets, k, job.delta_list())
+                  for k in job.k_values}
+        profiles = {k: zip(G, *_min_weight(f, G)) for k, G in stacks.items()}
+        for cfg in iter_configs(job):
+            G, stacked_d, stacked_dual_d = next(profiles[cfg.k])
+            code = family_code(cfg)
+            assert (G == code.generator.a).all(), cfg.to_json()
+            for H, stacked in ((code.generator.a, stacked_d),
+                               (code.dual.generator.a, stacked_dual_d)):
+                d = plain_min_weight(cfg.field, H)
+                assert _rank_scan_min_weight(cfg.field, H) == d, cfg.to_json()
+                assert _projective_min_weight(cfg.field, H) == d, cfg.to_json()
+                assert stacked == d, cfg.to_json()
+            checked += 1
     assert checked == QUICK_SWEEP_CONFIG_COUNT
 
 

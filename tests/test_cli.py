@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,8 +15,11 @@ import re
 import shlex
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdslab.gf import Field
 from mdslab.cli import build_parser, main
@@ -30,6 +34,7 @@ from mdslab.search import (
     run_search,
     unrank_combination,
 )
+from mdslab.verify import QUICK_FIELD_ORDERS, QUICK_MAX_N, SWEEP_SUITES, sweep_jobs
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -37,6 +42,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # the loop-based criteria before they were vectorized
 GOLDEN_GF7_N4_JSON_SHA256 = (
     "fef1e16cc4805c89daf3c79e337fa12d443ab5270c35925cc6e474b2845764d8")
+# sha256 of `search --field gf(9) --n 5 --k all --format csv`, recorded from
+# the search that classified one config at a time
+GOLDEN_GF9_N5_CSV_SHA256 = (
+    "90326257a892f6d4a6f30cc013afe4f040885e237d924e0e3f9513761d538534")
 # sha256 of `verify all --quick --format json`, recorded from the four
 # separate criterion sweeps before they became one
 GOLDEN_VERIFY_QUICK_JSON_SHA256 = (
@@ -157,24 +166,102 @@ def test_search_filter_and_json():
 
 
 def test_search_filters_records_as_they_arrive(monkeypatch):
-    """Records the filter drops are freed as they arrive, not held together."""
-    alive = peak = 0
-    evaluate = search.evaluate_config
+    """Records the filter drops are freed within the block that built them."""
+    built = alive = peak = 0
+    record = search.SearchRecord
 
-    def counted(cfg):
-        nonlocal alive, peak
-        record = evaluate(cfg)
+    def counted(*args):
+        nonlocal built, alive, peak
+        r = record(*args)
+        built += 1
         alive += 1
         peak = max(peak, alive)
 
         def freed():
             nonlocal alive
             alive -= 1
-        weakref.finalize(record, freed)
-        return record
-    monkeypatch.setattr(search, "evaluate_config", counted)
+        weakref.finalize(r, freed)
+        return r
+    monkeypatch.setattr(search, "SearchRecord", counted)
+    monkeypatch.setattr(search, "BLOCK_CONFIGS", 5)     # a node set a block
     assert run_search(SearchJob(GF5, 4, (3,), target="Other")) == []
-    assert peak <= 2
+    assert built == 25
+    assert peak <= 5
+
+
+def reference_records(job: SearchJob) -> list:
+    """The job's records through evaluate_config, one config at a time."""
+    return [r for r in map(search.evaluate_config, iter_configs(job))
+            if job.target is None or r.classification.kind == job.target]
+
+
+def test_blocks_match_evaluate_config_on_the_quick_sweep():
+    fields = tuple(Field.from_order(q) for q in QUICK_FIELD_ORDERS)
+    jobs = sweep_jobs(fields, QUICK_MAX_N)
+    got = [r for job in jobs for r in run_search(job)]
+    want = [r for job in jobs for r in reference_records(job)]
+    assert len(got) == 1315
+    assert got == want
+    assert records_to_json(got) == records_to_json(want)
+
+
+@st.composite
+def search_jobs(draw):
+    f = Field.from_order(draw(st.sampled_from((4, 5, 7, 8, 9))))
+    n = draw(st.integers(3, min(f.q, 6)))
+    k_lo = draw(st.integers(3, n))
+    k_values = tuple(range(k_lo, draw(st.integers(k_lo, n)) + 1))
+    deltas = draw(st.none() | st.lists(st.sampled_from(range(f.q)), min_size=1,
+                                      max_size=4, unique=True).map(tuple))
+    nodes = st.lists(st.sampled_from(range(f.q)), min_size=n, max_size=n,
+                     unique=True).map(tuple)
+    how = draw(st.sampled_from(("points", "sample")))
+    subsets = sample = None
+    if how == "points":
+        subsets = tuple(draw(st.lists(nodes, min_size=1, max_size=3,
+                                      unique_by=frozenset)))
+    else:
+        sample = draw(st.integers(1, 6))
+    return SearchJob(f, n, k_values, deltas=deltas, subsets=subsets, sample=sample,
+                     seed=draw(st.integers(0, 99)),
+                     target=draw(st.none() | st.sampled_from(search.CODE_CLASSES)),
+                     jobs=draw(st.sampled_from((1, 2))))
+
+
+@settings(max_examples=25)
+@given(job=search_jobs(), block=st.integers(1, 12))
+def test_blocks_match_evaluate_config_on_drawn_jobs(job, block):
+    with mock.patch.object(search, "BLOCK_CONFIGS", block):
+        got = run_search(job)
+    assert got == reference_records(job)
+    assert records_to_json(got) == records_to_json(reference_records(job))
+
+
+def test_mismatch_inside_a_block_replays_the_per_config_error(capsys, monkeypatch):
+    """A wrong verdict at config 1500 of the gf(9), n = 5 search, in its
+    second block, is reported as evaluate_config reports it."""
+    job = SearchJob(Field.from_order(9), 5, (3, 4, 5))
+    bad = next(itertools.islice(iter_configs(job), 1500, None))
+    crit = search.criteria
+
+    def wrong_at_bad(cfg):
+        out = crit(cfg)
+        if cfg == bad:
+            out = out._replace(mds=dataclasses.replace(out.mds, holds=not out.mds.holds))
+        return out
+    monkeypatch.setattr(search, "criteria", wrong_at_bad)
+    assert len(list(search._blocks(job))) > 2
+    with pytest.raises(search.SearchMismatchError) as per_config:
+        search.evaluate_config(bad)
+    code, out, err = run_cli(capsys, ["search", "--field", "gf(9)", "--n", "5",
+                                      "--format", "csv"])
+    assert (code, out, err) == (1, "", f"error: {per_config.value}\n")
+    assert err == (
+        "error: criterion/brute-force disagreement (mds criterion says True, "
+        "code says False) on config "
+        + json.dumps(bad.to_json()) + "\n")
+    assert bad.to_json() == {"field": "gf(3^2):1,0,1", "A": [0, 3, 4, 5, 6],
+                             "v": "ones", "k": 4, "delta": 6}
 
 
 def test_search_witness_column():
@@ -549,6 +636,30 @@ def test_search_cli_golden_gf7_n4(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GF7_N4_JSON_SHA256
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_cli_golden_gf9_n5_csv(capsys, jobs):
+    code, out, err = run_cli(capsys, ["search", "--field", "gf(9)", "--n", "5",
+                                      "--k", "all", "--format", "csv",
+                                      "--jobs", jobs])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GF9_N5_CSV_SHA256
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "gf(1024)", "--n", "40", "--k", "20"],
+     "rank scan of a [42,20] code over GF(1024) would take about 2.7e+16 "
+     "table lookups, which exceeds the cap of 2^31"),
+    # the primal [40,4] is in reach; its dual is not
+    (["--field", "gf(256)", "--n", "38", "--k", "4"],
+     "rank scan of a [40,36] code over GF(256) would take about 4.8e+09 "
+     "table lookups, which exceeds the cap of 2^31"),
+])
+def test_search_cli_refuses_codes_past_the_oracle_cap(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["search"] + argv
+                             + ["--sample", "1", "--delta", "1"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_search_cli_bad_k_spec(capsys):
     code, _, err = run_cli(capsys, [
         "search", "--field", "gf(7)", "--n", "4", "--k", "x-y"])
@@ -625,6 +736,10 @@ def test_verify_cli_refuses_field(capsys):
      "repeated field order 4 in --orders"),
     (["verify", "powersum", "--orders", "5,7,5", "--max-n", "3"],
      "repeated field order 5 in --orders"),
+    # --quick picks the default orders and n, which both flags override
+    *[(["verify", suite, "--orders", "5", "--max-n", "4", "--quick"],
+       f"--quick does not apply to verify {suite} with --orders and --max-n")
+      for suite in ("powersum",) + SWEEP_SUITES],
 ])
 def test_verify_cli_input_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

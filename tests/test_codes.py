@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mdslab import linalg
 from mdslab.gf import Field
@@ -28,6 +30,7 @@ from mdslab.codes import (
     TooLargeToEnumerateError,
     ZeroExtensionVectorError,
     ZeroScaleError,
+    _min_weight,
     _oracle_plan,
     _projective_min_weight,
     _rank_scan_min_weight,
@@ -146,6 +149,32 @@ def test_both_distance_methods_match_naive_oracle():
             d = naive_min_distance(code)
             assert _rank_scan_min_weight(f, code.generator.a) == d
             assert _projective_min_weight(f, code.generator.a) == d
+
+
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)), k=st.integers(1, 3),
+       redundancy=st.integers(1, 3), entries=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_min_weight_matches_naive_oracle(q, k, redundancy, entries, seed):
+    """_min_weight of a (B, k, N) stack of full-rank generators gives each
+    code's distance and its dual's; a zeroed or repeated column, drawn half
+    the time, puts a short dependency among the columns."""
+    f = Field.from_order(q)
+    rng = np.random.default_rng(seed)
+    N = k + redundancy
+    stack, codes = [], []
+    while len(stack) < entries:
+        a = rng.integers(0, q, size=(k, N))
+        if rng.integers(2):
+            i, j = rng.choice(N, size=2, replace=False)
+            a[:, i] = f.mul_table[a[:, j], rng.integers(0, q)]
+        try:
+            codes.append(LinearCode(Matrix(f, a)))
+        except RankDeficientError:
+            continue
+        stack.append(a)
+    d, dual_d = _min_weight(f, np.array(stack, dtype=np.int16))
+    assert d.tolist() == [naive_min_distance(c) for c in codes]
+    assert dual_d.tolist() == [naive_min_distance(c.dual) for c in codes]
 
 
 def test_min_distance_cap():
