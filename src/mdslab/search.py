@@ -6,7 +6,9 @@ visited config is classified twice, once by the distance oracle and once
 through one Criteria record (one subset-sum scan), and any verdict that breaks
 the record's rule aborts the whole run; a completed search doubles as an
 oracle cross-check over everything it visited.  A record serializes through
-the to_json of its parts.
+the to_json of its parts: its fields, in declaration order, are its JSON
+keys, and records_to_json joins the text json.dumps(..., indent=2) gives
+each part, rendered once per distinct part into a bounded memo.
 
 The walk runs in blocks of node sets, about BLOCK_CONFIGS configs each.  Each
 k of a block is one stack of generators, every node set times every delta,
@@ -22,6 +24,7 @@ evaluates whole blocks and their records are joined in block order.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -69,6 +72,7 @@ CODE_CLASSES = (MDS, NMDS, AMDS_ONLY_PRIMAL, AMDS_ONLY_DUAL, OTHER)
 
 DEFAULT_BUDGET = 10_000_000
 BLOCK_CONFIGS = 1024    # configs per block: bounds its stacks and its records
+RENDER_MEMO = 1024      # rendered record parts kept for records_to_json
 
 CSV_COLUMNS = ("q", "n", "k", "delta", "A", "class", "d", "d_dual",
                "grs_verdict", "witness")
@@ -227,6 +231,9 @@ def iter_configs(job: SearchJob) -> Iterator[EvalConfig]:
 
 @dataclass(frozen=True)
 class SearchRecord:
+    """One visited config and its verdicts.  The fields, in this order, are
+    the record's JSON keys (RECORD_KEYS), each valued by its to_json."""
+
     config: EvalConfig
     classification: Classification
     grs: GrsReport
@@ -247,12 +254,10 @@ class SearchRecord:
                 self.grs.verdict, self.witness_string()]
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "classification": self.classification.to_json(),
-            "grs": self.grs.to_json(),
-            "criteria": self.criteria.to_json(),
-        }
+        return {key: getattr(self, key).to_json() for key in RECORD_KEYS}
+
+
+RECORD_KEYS = tuple(f.name for f in dataclasses.fields(SearchRecord))
 
 
 def _checked_criteria(cfg: EvalConfig, cls: Classification) -> Criteria:
@@ -350,8 +355,42 @@ def records_to_csv(records: Iterable[SearchRecord]) -> str:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=RENDER_MEMO)
+def _member(indent: int, key: str, value) -> str:
+    """The `"key": value` member of an object whose members sit at this
+    indent, as json.dumps(..., indent=2) renders it there.  value is a part
+    with a to_json, or a config entry's value with its lists as tuples,
+    which json renders alike."""
+    if hasattr(value, "to_json"):
+        value = value.to_json()
+    pad = " " * indent
+    text = json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return f"{pad}{json.dumps(key)}: {text}"
+
+
+def _record_json(record: SearchRecord) -> str:
+    """record's item in records_to_json: its reports and its config's
+    entries from the memo, joined in json.dumps's frame."""
+    members = []
+    for key in RECORD_KEYS:
+        part = getattr(record, key)
+        if isinstance(part, EvalConfig):
+            entries = ",\n".join(
+                _member(6, k, tuple(v) if isinstance(v, list) else v)
+                for k, v in part.to_json().items())
+            members.append(f"    {json.dumps(key)}: {{\n{entries}\n    }}")
+        else:
+            members.append(_member(4, key, part))
+    return "  {\n" + ",\n".join(members) + "\n  }"
+
+
 def records_to_json(records: Iterable[SearchRecord]) -> str:
-    return json.dumps([r.to_json() for r in records], indent=2) + "\n"
+    """json.dumps([r.to_json() for r in records], indent=2) and a newline,
+    byte for byte, with each distinct part rendered once."""
+    items = [_record_json(r) for r in records]
+    if not items:
+        return "[]\n"
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def records_to_text(records: Iterable[SearchRecord]) -> str:

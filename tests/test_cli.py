@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdslab.gf import Field
@@ -46,6 +47,10 @@ GOLDEN_GF7_N4_JSON_SHA256 = (
 # the search that classified one config at a time
 GOLDEN_GF9_N5_CSV_SHA256 = (
     "90326257a892f6d4a6f30cc013afe4f040885e237d924e0e3f9513761d538534")
+# sha256 of `search --field gf(9) --n 5 --k all --format json` (all five
+# classes, both Schur regimes), recorded from the single json.dumps renderer
+GOLDEN_GF9_N5_JSON_SHA256 = (
+    "4c29794a5b807be125c08d09db166c76c387cb0aabb39b8e55f866bfe6de4ebb")
 # sha256 of `verify all --quick --format json`, recorded from the four
 # separate criterion sweeps before they became one
 GOLDEN_VERIFY_QUICK_JSON_SHA256 = (
@@ -235,6 +240,39 @@ def test_blocks_match_evaluate_config_on_drawn_jobs(job, block):
         got = run_search(job)
     assert got == reference_records(job)
     assert records_to_json(got) == records_to_json(reference_records(job))
+
+
+def json_reference(records: list) -> str:
+    """What records_to_json must return: one json.dumps of every to_json."""
+    return json.dumps([r.to_json() for r in records], indent=2) + "\n"
+
+
+def test_record_keys_are_the_record_fields_in_order():
+    record = run_search(SearchJob(GF5, 4, (3,), deltas=(0,)))[0]
+    assert search.RECORD_KEYS == ("config", "classification", "grs", "criteria")
+    assert tuple(record.to_json()) == search.RECORD_KEYS
+
+
+@settings(max_examples=30)
+@given(job=search_jobs())
+@example(job=SearchJob(GF5, 4, (3,), target="Other"))       # no record passes
+def test_records_to_json_is_json_dumps_of_to_json(job):
+    """The memo's text equals the one-call json.dumps on every class filter,
+    on records a pool returned, from a cold memo, and when every lookup
+    misses, so the memo's state changes speed and never bytes."""
+    for target in (None,) + search.CODE_CLASSES:
+        records = run_search(dataclasses.replace(job, target=target, jobs=1))
+        assert records_to_json(records) == json_reference(records)
+    records = run_search(job)
+    want = json_reference(records)
+    assert records_to_json(run_search(dataclasses.replace(job, jobs=2))) == want
+    search._member.cache_clear()
+    assert records_to_json(records) == want
+    assert search._member.cache_info().currsize <= search.RENDER_MEMO
+    missing = functools.lru_cache(maxsize=0)(search._member.__wrapped__)
+    with mock.patch.object(search, "_member", missing):
+        assert records_to_json(records) == want
+    assert missing.cache_info().hits == 0
 
 
 def test_mismatch_inside_a_block_replays_the_per_config_error(capsys, monkeypatch):
@@ -643,6 +681,15 @@ def test_search_cli_golden_gf9_n5_csv(capsys, jobs):
                                       "--jobs", jobs])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GF9_N5_CSV_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_cli_golden_gf9_n5_json(capsys, jobs):
+    code, out, err = run_cli(capsys, ["search", "--field", "gf(9)", "--n", "5",
+                                      "--k", "all", "--format", "json",
+                                      "--jobs", jobs])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GF9_N5_JSON_SHA256
 
 
 @pytest.mark.parametrize("argv, message", [
