@@ -273,6 +273,32 @@ def gapped_grs_one_column_code(field: Field, alphas: Sequence[int], k: int) -> L
     return _with_tail(field, block, tail)
 
 
+def family_parity_checks(field: Field, nodes: np.typing.ArrayLike, k: int,
+                         deltas: Sequence[int]) -> np.ndarray:
+    """parity_check_matrix of each config family_generators stacks (v all
+    ones), as one (S * len(deltas), n-k+2, n+2) stack, node set-major: row r
+    holds u_i alpha_i^r on the nodes, u the Lagrange weights; the tail columns
+    hold -1 at row n-k-1 (absent when k = n), -e1 at row n-k, delta + e2 -
+    e1^2 at row n-k+1, and a lone -1 in the corner."""
+    mul, sub = field.mul_table, field.sub_table
+    pts = np.asarray(nodes, dtype=np.intp)
+    S, n = pts.shape
+    diffs = sub[pts[:, :, None], pts[:, None, :]]
+    diffs[:, range(n), range(n)] = 1
+    rows = [field.inv_table[nonzero_product(field, diffs)]]    # u
+    for _ in range(n - k + 1):
+        rows.append(mul[rows[-1], pts])
+    e1, h2 = symmetric_sums(field, pts)
+    H = np.zeros((S, len(deltas), n - k + 2, n + 2), dtype=np.int16)
+    H[..., :n] = np.stack(rows, axis=1)[:, None]
+    if k < n:
+        H[..., n - k - 1, n] = sub[0, 1]
+    H[..., n - k, n] = sub[0, e1][:, None]
+    H[..., n - k + 1, n] = sub[np.asarray(deltas, dtype=np.intp), h2[:, None]]
+    H[..., n - k + 1, n + 1] = sub[0, 1]
+    return H.reshape(-1, n - k + 2, n + 2)
+
+
 def extension_vector(cfg: EvalConfig) -> tuple[int, ...]:
     """Weight vector w turning the one-tail code into the two-tail family.
 
@@ -280,36 +306,18 @@ def extension_vector(cfg: EvalConfig) -> tuple[int, ...]:
     delta - e1^2 + e2.  Guarantee (tested): extending the one-tail code by w
     reproduces family_code(cfg) whenever v is all ones.
     """
-    f, pts, k = cfg.field, cfg.alphas, cfg.k
-    n = len(pts)
-    u = lagrange_weights(f, pts)
-    w = [f.mul(f.pow(a, n - k + 1), ui) for a, ui in zip(pts, u)]
-    _, h2 = symmetric_sums(f, pts)
-    w.append(f.sub(cfg.delta, h2))
-    return tuple(w)
+    H = family_parity_checks(cfg.field, [cfg.alphas], cfg.k, [cfg.delta])
+    return tuple(H[0, -1, :-1].tolist())    # H's last row is (w, -1)
 
 
 def parity_check_matrix(cfg: EvalConfig) -> Matrix:
-    """Explicit (n-k+2) x (n+2) parity-check matrix of family_code(cfg).
-
-    Rows are power rows of the nodes weighted by u_i / v_i; the two structural
-    columns hold -1 at power n-k-1 (absent when k = n), -e1 at power n-k,
-    delta + e2 - e1^2 at power n-k+1, and a lone -1 in the corner.
-    """
-    f, pts, k = cfg.field, cfg.alphas, cfg.k
-    n = len(pts)
-    u = lagrange_weights(f, pts)
-    vprime = [f.mul(ui, f.inv(vi)) for ui, vi in zip(u, cfg.v)]
-    rows = n - k + 2
-    block = _scaled_power_rows(f, pts, vprime, range(rows))
-    e1, h2 = symmetric_sums(f, pts)
-    tail = np.zeros((rows, 2), dtype=np.int16)
-    if n - k - 1 >= 0:
-        tail[n - k - 1, 0] = f.neg(1)
-    tail[n - k, 0] = f.neg(e1)
-    tail[n - k + 1, 0] = f.sub(cfg.delta, h2)
-    tail[n - k + 1, 1] = f.neg(1)
-    return Matrix(f, np.hstack([block, tail]))
+    """Explicit (n-k+2) x (n+2) parity-check matrix of family_code(cfg):
+    cfg's entry of family_parity_checks, its node columns divided by v, as
+    scaling a generator column by v_i scales that column of H by v_i^-1."""
+    f, n = cfg.field, cfg.n
+    H = family_parity_checks(f, [cfg.alphas], cfg.k, [cfg.delta])[0]
+    H[:, :n] = f.mul_table[H[:, :n], f.inv_table[list(cfg.v)]]
+    return Matrix(f, H)
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,7 @@ class Matrix:
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        add, mul = self.field.add_table, self.field.mul_table
-        out = np.zeros((self.nrows, other.ncols), dtype=np.int16)
-        for j in range(self.ncols):
-            out = add[out, mul[self.a[:, j][:, None], other.a[j][None, :]]]
-        return Matrix(self.field, out)
+        return Matrix(self.field, matmul(self.field, self.a, other.a))
 
     # -- text form -----------------------------------------------------------
 
@@ -125,6 +121,15 @@ class Matrix:
         if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged rows in matrix text")
         return cls(field, rows)
+
+
+def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the field, for (..., r, m) and (..., m, c) stacks."""
+    add, mul = field.add_table, field.mul_table
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int16)
+    for j in range(a.shape[-1]):
+        out = add[out, mul[a[..., :, j, None], b[..., j, None, :]]]
+    return out
 
 
 def power_matrix(field: Field, points: Sequence[int], exponents: Sequence[int]) -> Matrix:

@@ -6,10 +6,10 @@ reports it as a reproducible JSON blob.  The default scope covers field orders
 orders 4, 5, 7 and size 5.
 
 The six per-config suites (parity, extend, mds, amds, dual-amds, nmds) are
-filters over one sweep in search's canonical order: each config is built once
-for parity and extend and scanned and classified once for the criterion
-suites, every requested suite stops counting at its own first counterexample,
-and the sweep ends when no suite is live.
+filters over one sweep on search's blocks: each k of a block is one generator
+stack that every suite reads (the oracle's d-dual from G's columns alone, not
+from the criteria or H), every requested suite stops counting at its own first
+counterexample, and the sweep ends when no suite is live.
 """
 
 from __future__ import annotations
@@ -19,41 +19,40 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import codes
 from .gf import Field
 from .linalg import (
     det,
+    eliminate,
+    matmul,
     power_matrix,
-    rref,
     vandermonde_det_skip_penultimate,
     vandermonde_det_skip_two,
 )
 from .codes import (
     Classification,
-    LinearCode,
     NON_GRS,
     classify,
-    codes_equal,
-    extend_code,
     grs_code,
     schur_square,
 )
 from .construction import (
     EvalConfig,
     criteria,
-    extension_vector,
     family_code,
-    gapped_grs_one_column_code,
+    family_generators,
+    family_parity_checks,
     lagrange_weights,
     non_grs_certificate,
-    parity_check_matrix,
     weighted_power_sum,
 )
-from .search import SearchJob, iter_configs, point_sets
-# the benchmark's tracer (bench/tracing.py) wraps these names in this module
+from .search import SearchJob, _blocks, point_sets
+# the benchmark's tracer (bench/tracing.py) wraps these names in this module and
+# clears the classified cache below; both leave with the library's telemetry
 from .construction import (  # noqa: F401
     amds_criterion,
     dual_amds_criterion,
@@ -69,7 +68,7 @@ MAX_SWEEP_K = 5
 DET_FIELD_ORDERS = (5, 7, 8, 9)
 DET_CAP = 1 << 21     # point permutations: ~15 s at ~150 000 a second (size 5)
 POWERSUM_CAP = 1 << 20    # checks: ~15-25 s at 45 000-75 000 a second
-SWEEP_CAP = 1 << 15   # configs: ~40-65 s at 500-860 a second; the default is 14 925
+SWEEP_CAP = 1 << 15   # configs: ~2-6 s at 5500-18 000 a second; the default is 14 925
 
 SUITE_NAMES = ("powersum", "det", "parity", "extend",
                "mds", "amds", "dual-amds", "nmds", "schur")
@@ -98,16 +97,11 @@ def sweep_jobs(fields: Sequence[Field], max_n: int) -> list[SearchJob]:
             for f in fields for n in range(3, min(f.q, max_n) + 1)]
 
 
-def sweep_configs(fields: Sequence[Field], max_n: int) -> Iterator[EvalConfig]:
-    for job in sweep_jobs(fields, max_n):
-        yield from iter_configs(job)
-
-
 @lru_cache(maxsize=2048)
 def classified(cfg: EvalConfig) -> Classification:
-    """Oracle classification, cached so that separate criterion checks over
-    one scope classify each config once.  The bound holds the 1462-config
-    acceptance sweep and keeps longer sweeps from growing the cache."""
+    """Oracle classification of one config, cached.  The sweep reads its
+    block's stacks instead; the cache stays for the benchmark, which clears
+    it by name before each timed call."""
     return classify(family_code(cfg))
 
 
@@ -159,64 +153,101 @@ def check_det(fields: Sequence[Field] | None = None,
     return SuiteResult("det", True, checked)
 
 
-def _parity_fault(cfg: EvalConfig, fam: LinearCode) -> str | None:
-    """Why parity_check_matrix(cfg) is not a parity-check matrix of fam."""
-    H = parity_check_matrix(cfg)
-    if H.shape != (cfg.n - cfg.k + 2, cfg.n + 2):
-        return "bad shape"
-    if (fam.generator @ H.transpose()).a.any():
-        return "G.H^T != 0"
-    # G.H^T = 0 puts H's rows in the dual, whose dimension n+2-k is H's row
-    # count, so they span it iff H has full rank
-    if rref(H)[1] < H.nrows:
-        return "row space is not the dual"
-    return None
+PARITY_FAULTS = (None, "G.H^T != 0", "row space is not the dual", "bad shape")
 
 
-def _counterexamples(cfg: EvalConfig, live: dict[str, int]) -> dict[str, dict]:
-    """The counterexample of every live suite that cfg breaks."""
-    out = {}
-    if "parity" in live or "extend" in live:
-        fam = family_code(cfg)
-        if "parity" in live and (reason := _parity_fault(cfg, fam)):
-            out["parity"] = {"config": cfg.to_json(), "reason": reason}
-        if "extend" in live:
-            base = gapped_grs_one_column_code(cfg.field, cfg.alphas, cfg.k)
-            try:        # a vector extend_code refuses is a counterexample too
-                extends = codes_equal(extend_code(base, extension_vector(cfg)), fam)
-            except ValueError:
-                extends = False
-            if not extends:
-                out["extend"] = {"config": cfg.to_json()}
-    if live.keys() & CRITERION_SUITES:
-        cls = classified(cfg)
+def _parity_faults(field: Field, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """For each entry of the (B, k, N) stack G, the index into PARITY_FAULTS
+    of why H's entry is not a parity-check matrix of its code, 0 where it is
+    one; a stack of the wrong shape fails whole.  G.H^T = 0 puts H's N-k
+    rows in the dual, of dimension N-k, so they span it iff H has full rank."""
+    B, k, N = G.shape
+    if H.shape != (B, N - k, N):
+        return np.full(B, 3)
+    full = (eliminate(field, H.copy()) >= 0).sum(axis=1) == N - k
+    return np.where(matmul(field, G, H.transpose(0, 2, 1)).any(axis=(1, 2)), 1,
+                    np.where(full, 0, 2))
+
+
+def _unextended(field: Field, G: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(B,) where extending the one-tail code by w does not give G's code; a
+    stack of the wrong shape fails whole.  Trusting family_generators that G's
+    first N-1 columns are the one-tail code, of rank k, it does iff w != 0, as
+    extend_code requires, and G's last column is their product with w."""
+    B, _, N = G.shape
+    if w.shape != (B, N - 1):
+        return np.ones(B, dtype=bool)
+    column = matmul(field, G[..., :-1], w[..., None])[..., 0]
+    return ~w.any(axis=1) | (column != G[..., -1]).any(axis=1)
+
+
+def _first_faults(job: SearchJob, block: tuple[tuple[int, ...], ...],
+                  live: set[str]) -> dict[str, tuple[int, dict]]:
+    """(position in visit order, counterexample) of the first config of the
+    block that breaks each live suite it breaks.  Each k is one stack of
+    generators, every node set times every delta, that every suite reads."""
+    f, deltas, N, S = job.field, job.delta_list(), job.n + 2, len(block)
+    shape = (S, len(job.k_values), len(deltas))
+    flags = {suite: np.zeros(shape, dtype=np.intp)
+             for suite in live & {"parity", "extend"}}
+    distances = np.zeros(shape + (2,), dtype=np.intp)
+    for ki, k in enumerate(job.k_values):
+        G = family_generators(f, block, k, deltas)
+        if flags:
+            H = family_parity_checks(f, block, k, deltas)
+        if "parity" in flags:
+            flags["parity"][:, ki] = _parity_faults(f, G, H).reshape(S, -1)
+        if "extend" in flags:       # H's last row is (w, -1)
+            flags["extend"][:, ki] = _unextended(f, G, H[:, -1, :-1]).reshape(S, -1)
+        if live.intersection(CRITERION_SUITES):
+            # looked up on the module, where the benchmark's tracer wraps it
+            pair = np.stack(codes._min_weight(f, G), axis=-1)
+            distances[:, ki] = pair.reshape(S, -1, 2)
+    visits = list(itertools.product(block, job.k_values, deltas))
+    faults = {}
+    for suite, flag in flags.items():
+        first = int(flag.argmax())
+        if flag.flat[first]:
+            found = {"config": EvalConfig.ones(f, *visits[first]).to_json()}
+            if suite == "parity":
+                found["reason"] = PARITY_FAULTS[flag.flat[first]]
+            faults[suite] = first, found
+    pending = [suite for suite in CRITERION_SUITES if suite in live]
+    for position, (visit, (d, dual_d)) in enumerate(
+            zip(visits, distances.reshape(-1, 2).tolist())):
+        if not pending:
+            break
+        cfg = EvalConfig.ones(f, *visit)
+        cls = Classification.of_distances(N, cfg.k, d, dual_d)
         for name, holds, truth in criteria(cfg).checks(cls):
             suite = name.replace("_", "-")
-            if suite in live and holds != truth:
-                out[suite] = {
+            if suite in pending and holds != truth:
+                pending.remove(suite)
+                faults[suite] = position, {
                     "config": cfg.to_json(), "criterion_holds": holds,
                     "class": cls.kind, "singleton_defect": cls.singleton_defect,
                     "dual_defect": cls.dual_defect}
-    return out
+    return faults
 
 
 def sweep(fields: Sequence[Field], max_n: int,
           suites: Sequence[str]) -> dict[str, SuiteResult]:
-    """One walk checking the per-config suites named, keyed by suite name.
-
-    A suite counts each config up to and including its own first
-    counterexample; the walk ends when no suite is live.
-    """
-    live = dict.fromkeys(suites, 0)         # suite -> configs checked
+    """One walk over search's blocks checking the per-config suites named,
+    keyed by suite name.  A suite counts each config up to and including
+    its own first counterexample; the walk ends when no suite is live."""
+    live = set(suites)
     results = {}
-    for cfg in sweep_configs(fields, max_n):
+    checked = 0             # configs before the block
+    blocks = ((job, block) for job in sweep_jobs(fields, max_n)
+              for block in _blocks(job))
+    for job, block in blocks:
         if not live:
             break
-        for suite in live:
-            live[suite] += 1
-        for suite, found in _counterexamples(cfg, live).items():
-            results[suite] = SuiteResult(suite, False, live.pop(suite), found)
-    for suite, checked in live.items():
+        for suite, (position, found) in _first_faults(job, block, live).items():
+            results[suite] = SuiteResult(suite, False, checked + position + 1, found)
+            live.remove(suite)
+        checked += len(block) * len(job.k_values) * len(job.delta_list())
+    for suite in live:
         results[suite] = SuiteResult(suite, True, checked)
     return results
 

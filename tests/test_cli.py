@@ -55,6 +55,10 @@ GOLDEN_GF9_N5_JSON_SHA256 = (
 # separate criterion sweeps before they became one
 GOLDEN_VERIFY_QUICK_JSON_SHA256 = (
     "c8e896033b63d5fbbfda9eccb89e86551c45b004d53d67062b13bd884ac088f7")
+# sha256 of `verify all --format json` (the full default scope), recorded
+# from the sweep that built, reduced and classified one config at a time
+GOLDEN_VERIFY_ALL_JSON_SHA256 = (
+    "238eb9cc39250818591b1b49ae42e5968b86b4aa51e27d28261f6497322e2dd9")
 
 GF4 = Field.from_order(4)
 GF5 = Field.from_order(5)
@@ -799,6 +803,14 @@ def test_verify_cli_golden_quick_json(capsys):
     code, out, _ = run_cli(capsys, ["verify", "all", "--quick", "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_QUICK_JSON_SHA256
+
+
+def test_verify_cli_golden_full_json(capsys):
+    """`verify all --format json` over the default scope, every suite
+    passing, is byte-identical to the per-config sweep's output."""
+    code, out, _ = run_cli(capsys, ["verify", "all", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL_JSON_SHA256
 
 
 def test_verify_cli_json(capsys):

@@ -27,7 +27,8 @@ from mdslab.construction import (
     nmds_criterion,
 )
 from mdslab.gf import Field
-from mdslab.verify import QUICK_FIELD_ORDERS, QUICK_MAX_N, sweep_configs
+from mdslab.search import iter_configs
+from mdslab.verify import QUICK_FIELD_ORDERS, QUICK_MAX_N, sweep_jobs
 
 QUICK_SWEEP_CONFIG_COUNT = 1315
 LARGE_ORDERS = (64, 256, 1024)
@@ -131,7 +132,9 @@ def test_criteria_match_reference_on_quick_sweep():
     fields = tuple(Field.from_order(q) for q in QUICK_FIELD_ORDERS)
     clauses = set()
     checked = 0
-    for cfg in sweep_configs(fields, QUICK_MAX_N):
+    configs = itertools.chain.from_iterable(
+        map(iter_configs, sweep_jobs(fields, QUICK_MAX_N)))
+    for cfg in configs:
         for rep in assert_matches_reference(cfg):
             clauses.add(rep.clause)
         checked += 1
