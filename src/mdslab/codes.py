@@ -18,7 +18,8 @@ one column-rank profile gives d and the dual distance d-dual together, for
 d-dual is the size of the smallest linearly dependent set of G's columns,
 so no dual code is built.  The profile ranks the size-k column subsets of
 every entry once, then scans up for d and down for d-dual on the entries
-still undecided.  Its Schur screen is one batched rank as well.
+still undecided, upwards by _rank_scan as a single code's is.  The Schur
+screen is batched too, and squares duals from a given parity-check stack.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _min_weight(field: Field, G: np.ndarray):
         _planned_method(field.q, N, N - k)
         return _distance_profile(field, G)
     if method == RANK_SCAN:
-        return _rank_scan_min_weight(field, G)
+        return int(_rank_scan(field, G.T[None], k, k)[0])
     return _projective_min_weight(field, G)
 
 
@@ -215,19 +216,26 @@ def _span(field: Field, rows: np.ndarray) -> np.ndarray:
     return words
 
 
-def _rank_scan_min_weight(field: Field, G: np.ndarray) -> int:
-    """d = N - max{|Z| : rank(G_Z) < k}, scanning |Z| = k, k+1, ... upwards.
+def _rank_scan(field: Field, columns: np.ndarray, rank,
+               start: int) -> np.ndarray:
+    """(B,) minimum weights of the codes spanned by a (B, N, m) stack of
+    columns, of dimension rank (one, or one per entry); some start-1
+    columns of each entry must be known to span less, as when start <= rank.
 
-    A nonzero codeword vanishes on Z exactly when the columns G_Z have rank
-    below k, and rank deficiency is inherited by subsets, so the first size
+    d = N - max{|Z| : rank(G_Z) < rank}, scanning |Z| = start, ... upwards
+    on the entries still undecided: a nonzero codeword vanishes on Z exactly
+    when G_Z is rank-deficient, which subsets inherit, so the first size
     with no deficient column set is one past the largest zero set.
     """
-    k, N = G.shape
-    columns = G.T[None]
-    for s in range(k, N):
-        if not _some_rank_below(field, columns, s, k)[0]:
-            return N - s + 1
-    return 1  # all N columns together have rank k
+    B, N, _ = columns.shape
+    rank = np.full(B, rank)
+    d = np.ones(B, dtype=np.intp)
+    live = np.arange(B)
+    for s in range(start, N):
+        low = _some_rank_below(field, columns[live], s, rank[live])
+        d[live[~low]] = N - s + 1
+        live = live[low]
+    return d
 
 
 def _distance_profile(field: Field, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,26 +254,18 @@ def _distance_profile(field: Field, G: np.ndarray) -> tuple[np.ndarray, np.ndarr
     d = np.full(B, N - k + 1)
     dual = np.full(B, k + 1)
     live = np.flatnonzero(_some_rank_below(field, columns, k, k))
-    d[live] = N - k
+    d[live] = _rank_scan(field, columns[live], k, k + 1)
     dual[live] = k
-    up = down = live
-    for s in range(k + 1, N):
-        if not up.size:
-            break
-        up = up[_some_rank_below(field, columns[up], s, k)]
-        d[up] = N - s
     for s in range(k - 1, 0, -1):
-        if not down.size:
-            break
-        down = down[_some_rank_below(field, columns[down], s, s)]
-        dual[down] = s
+        live = live[_some_rank_below(field, columns[live], s, s)]
+        dual[live] = s
     return d, dual
 
 
 def _some_rank_below(field: Field, columns: np.ndarray, s: int,
-                     rank: int) -> np.ndarray:
+                     rank) -> np.ndarray:
     """(B,) whether some s of each entry's N length-k vectors, a (B, N, k)
-    stack, span fewer than rank dimensions.
+    stack, span fewer than rank dimensions (an int, or one per entry).
 
     The s-subsets are stacked as (entries x subsets, s, k) in blocks of at
     most 2^20 values; linalg.eliminate leaves a coordinate without a pivot
@@ -273,7 +273,8 @@ def _some_rank_below(field: Field, columns: np.ndarray, s: int,
     its first low-rank subset.
     """
     B, N, k = columns.shape
-    found = np.zeros(B, dtype=bool)
+    rank = np.full(B, rank)
+    found = s < rank            # fewer than rank vectors span less
     per_call = min(_CHUNK, (_CHUNK << 4) // (s * k))    # matrices per elimination
     combos = itertools.combinations(range(N), s)
     while not found.all():
@@ -287,8 +288,8 @@ def _some_rank_below(field: Field, columns: np.ndarray, s: int,
             at = live[lo:lo + step]
             pivots = eliminate(field, columns[at[:, None, None], subsets]
                                .reshape(-1, s, k))
-            low = (pivots >= 0).sum(axis=1) < rank
-            found[at] = low.reshape(len(at), -1).any(axis=1)
+            spans = (pivots >= 0).sum(axis=1).reshape(len(at), -1)
+            found[at] = (spans < rank[at, None]).any(axis=1)
     return found
 
 
@@ -421,13 +422,6 @@ def schur_method(N: int, k: int) -> str:
     return NOT_APPLICABLE
 
 
-def _square_dimension_report(k: int, dim2: int) -> GrsReport:
-    """The SquareDimension screen of a dimension-k code whose square has
-    dimension dim2."""
-    verdict = CONSISTENT_WITH_GRS if dim2 == 2 * k - 1 else NON_GRS
-    return GrsReport(verdict, SQUARE_DIMENSION, dim2)
-
-
 def grs_consistency_test(code: LinearCode) -> GrsReport:
     """One-directional GRS screen via Schur-square invariants.
 
@@ -436,36 +430,48 @@ def grs_consistency_test(code: LinearCode) -> GrsReport:
     codes are GRS, so the same applies through the dual when its dimension is
     in range.  A violated invariant certifies NonGRS (up to monomial
     equivalence); a satisfied one is only ConsistentWithGRS, never proof.
+    This is grs_consistency_reports on a stack of one, H the dual's basis.
     """
-    method = schur_method(code.length, code.dimension)
-    if method == SQUARE_DIMENSION:
-        return _square_dimension_report(code.dimension,
-                                        schur_square(code).dimension)
-    if method == DUAL_SQUARE_DISTANCE:
-        d2 = schur_square(code.dual).min_distance
-        verdict = NON_GRS if d2 < 2 else CONSISTENT_WITH_GRS
-        return GrsReport(verdict, method, d2)
-    return GrsReport(INCONCLUSIVE, method, None)
+    H = None
+    if schur_method(code.length, code.dimension) == DUAL_SQUARE_DISTANCE:
+        H = code.dual.generator.a[None]
+    return grs_consistency_reports(code.field, code.generator.a[None], H)[0]
 
 
-def grs_consistency_reports(field: Field, G: np.ndarray) -> list[GrsReport] | None:
+def grs_consistency_reports(field: Field, G: np.ndarray,
+                            H: np.ndarray | None = None) -> list[GrsReport]:
     """grs_consistency_test of the code of each generator in a (B, k, N)
-    stack, all at once; None in the DualSquareDistance regime, whose screen
-    needs each code's dual.
+    stack, all at once; H, read only in the DualSquareDistance regime, is a
+    (B, N-k, N) stack whose entries span each code's dual.
 
-    A square's dimension is the rank of the k(k+1)/2 products of row i with
-    row j >= i, one pivot count of linalg.eliminate over the stack.
+    A square is spanned by the products of row i with row j >= i, of G or of
+    H; one linalg.eliminate over the stack gives its rank r, and the products
+    at its pivot rows a basis.  The dual square's distance is one stacked
+    rank scan of the bases, or projective enumeration where cheaper; each
+    [N, r] is held to ENUMERATION_CAP in stack order, the first past it refused.
     """
     B, k, N = G.shape
     method = schur_method(N, k)
-    if method == SQUARE_DIMENSION:
-        i, j = np.triu_indices(k)
-        pivots = eliminate(field, field.mul_table[G[:, i], G[:, j]])
-        return [_square_dimension_report(k, dim2)
-                for dim2 in (pivots >= 0).sum(axis=1).tolist()]
     if method == NOT_APPLICABLE:
         return [GrsReport(INCONCLUSIVE, method, None)] * B
-    return None
+    rows = G if method == SQUARE_DIMENSION else H
+    i, j = np.triu_indices(rows.shape[1])
+    products = field.mul_table[rows[:, i], rows[:, j]]
+    pivots = eliminate(field, products.copy())
+    ranks = (pivots >= 0).sum(axis=1)
+    if method == SQUARE_DIMENSION:
+        return [GrsReport(CONSISTENT_WITH_GRS if r == 2 * k - 1 else NON_GRS,
+                          method, r) for r in ranks.tolist()]
+    scan = np.array([_planned_method(field.q, N, r) for r in ranks.tolist()]) == RANK_SCAN
+    at = np.sort(pivots, axis=1)[:, N - ranks.max():]      # -1 pads come first
+    basis = np.where(at[..., None] >= 0, products[np.arange(B)[:, None], at], 0)
+    d = np.empty(B, dtype=np.intp)
+    d[scan] = _rank_scan(field, basis[scan].transpose(0, 2, 1), ranks[scan],
+                         ranks.min())
+    for b in np.flatnonzero(~scan):
+        d[b] = _projective_min_weight(field, basis[b, -ranks[b]:])
+    return [GrsReport(NON_GRS if d2 < 2 else CONSISTENT_WITH_GRS, method, d2)
+            for d2 in d.tolist()]
 
 
 # ---------------------------------------------------------------------------

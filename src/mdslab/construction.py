@@ -36,6 +36,8 @@ import numpy as np
 from .gf import Field, parse_field
 from .linalg import (
     Matrix,
+    eliminate,
+    matmul,
     nonzero_product,
     power_matrix,
     require_distinct,
@@ -297,6 +299,22 @@ def family_parity_checks(field: Field, nodes: np.typing.ArrayLike, k: int,
     H[..., n - k + 1, n] = sub[np.asarray(deltas, dtype=np.intp), h2[:, None]]
     H[..., n - k + 1, n + 1] = sub[0, 1]
     return H.reshape(-1, n - k + 2, n + 2)
+
+
+PARITY_FAULTS = (None, "G.H^T != 0", "row space is not the dual", "bad shape")
+
+
+def parity_faults(field: Field, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """For each entry of the (B, k, N) stack G, the index into PARITY_FAULTS
+    of why H's entry is not a parity-check matrix of its code, 0 where it is
+    one; a stack of the wrong shape fails whole.  G.H^T = 0 puts H's N-k
+    rows in the dual, of dimension N-k, so they span it iff H has full rank."""
+    B, k, N = G.shape
+    if H.shape != (B, N - k, N):
+        return np.full(B, 3)
+    full = (eliminate(field, H.copy()) >= 0).sum(axis=1) == N - k
+    return np.where(matmul(field, G, H.transpose(0, 2, 1)).any(axis=(1, 2)), 1,
+                    np.where(full, 0, 2))
 
 
 def extension_vector(cfg: EvalConfig) -> tuple[int, ...]:

@@ -13,10 +13,10 @@ each part, rendered once per distinct part into a bounded memo.
 The walk runs in blocks of node sets, about BLOCK_CONFIGS configs each.  Each
 k of a block is one stack of generators, every node set times every delta,
 built without reducing any matrix; the distance oracle gives the stack's
-(d, d-dual) in one call, and the Schur screen its evidence in one batched
-rank, except where the screen needs each code's dual.  Criteria and the
-checks against them stay per config, in visit order, so a block reports the
-same first disagreement evaluate_config, the one-config path, would.
+(d, d-dual) in one call, and the Schur screen, which builds no dual code,
+its evidence in one more.  Criteria and the checks against them stay per
+config, in visit order, so a block reports the same first disagreement
+evaluate_config, the one-config path, would.
 Records matching the class filter are returned in visit order, so equal inputs
 give byte-identical output regardless of worker count: with --jobs, a pool
 evaluates whole blocks and their records are joined in block order.
@@ -45,6 +45,7 @@ from .codes import (
     AMDS_ONLY_DUAL,
     AMDS_ONLY_PRIMAL,
     Classification,
+    DUAL_SQUARE_DISTANCE,
     GrsReport,
     MDS,
     NMDS,
@@ -52,13 +53,17 @@ from .codes import (
     classify,
     grs_consistency_reports,
     grs_consistency_test,
+    schur_method,
 )
 from .construction import (
+    PARITY_FAULTS,
     Criteria,
     EvalConfig,
     criteria,
     family_code,
     family_generators,
+    family_parity_checks,
+    parity_faults,
 )
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .construction import (  # noqa: F401
@@ -298,8 +303,8 @@ def evaluate_block(job: SearchJob,
     any record, as the first config's code would be.  Each k is one stack of
     generators, every node set times every delta: its (d, d-dual) come from
     one call of the distance oracle, and its Schur screens from one batched
-    call, except the dual-square screen, which builds each code as
-    evaluate_config does.
+    call, squaring duals from family_parity_checks proven by parity_faults; a
+    config they fail, or a misshapen stack's first, is a disagreement.
     """
     f, deltas, N = job.field, job.delta_list(), job.n + 2
     stacks = {}
@@ -308,7 +313,17 @@ def evaluate_block(job: SearchJob,
         # looked up on the module at each call, as the benchmark's tracer
         # (bench/tracing.py) wraps codes._min_weight there
         d, dual_d = codes._min_weight(f, G)
-        stacks[k] = d.tolist(), dual_d.tolist(), grs_consistency_reports(f, G)
+        H = None
+        if schur_method(N, k) == DUAL_SQUARE_DISTANCE:
+            H = family_parity_checks(f, block, k, deltas)
+            faults = parity_faults(f, G, H)
+            b = int(faults.astype(bool).argmax())
+            if faults[b]:
+                cfg = EvalConfig.ones(f, block[b // len(deltas)], k,
+                                      deltas[b % len(deltas)])
+                raise SearchMismatchError(
+                    cfg, f"parity check fails: {PARITY_FAULTS[faults[b]]}")
+        stacks[k] = d.tolist(), dual_d.tolist(), grs_consistency_reports(f, G, H)
     records = []
     for i, alphas in enumerate(block):
         for k in job.k_values:
@@ -317,11 +332,7 @@ def evaluate_block(job: SearchJob,
                 cfg = EvalConfig.ones(f, alphas, k, delta)
                 cls = Classification.of_distances(N, k, d[b], dual_d[b])
                 crit = _checked_criteria(cfg, cls)
-                if screens is None:
-                    grs = grs_consistency_test(family_code(cfg))
-                else:
-                    grs = screens[b]
-                record = SearchRecord(cfg, cls, grs, crit)
+                record = SearchRecord(cfg, cls, screens[b], crit)
                 if job.target is None or cls.kind == job.target:
                     records.append(record)
     return records

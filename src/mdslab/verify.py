@@ -27,7 +27,6 @@ from . import codes
 from .gf import Field
 from .linalg import (
     det,
-    eliminate,
     matmul,
     power_matrix,
     vandermonde_det_skip_penultimate,
@@ -41,6 +40,7 @@ from .codes import (
     schur_square,
 )
 from .construction import (
+    PARITY_FAULTS,
     EvalConfig,
     criteria,
     family_code,
@@ -48,6 +48,7 @@ from .construction import (
     family_parity_checks,
     lagrange_weights,
     non_grs_certificate,
+    parity_faults,
     weighted_power_sum,
 )
 from .search import SearchJob, _blocks, point_sets
@@ -153,22 +154,6 @@ def check_det(fields: Sequence[Field] | None = None,
     return SuiteResult("det", True, checked)
 
 
-PARITY_FAULTS = (None, "G.H^T != 0", "row space is not the dual", "bad shape")
-
-
-def _parity_faults(field: Field, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """For each entry of the (B, k, N) stack G, the index into PARITY_FAULTS
-    of why H's entry is not a parity-check matrix of its code, 0 where it is
-    one; a stack of the wrong shape fails whole.  G.H^T = 0 puts H's N-k
-    rows in the dual, of dimension N-k, so they span it iff H has full rank."""
-    B, k, N = G.shape
-    if H.shape != (B, N - k, N):
-        return np.full(B, 3)
-    full = (eliminate(field, H.copy()) >= 0).sum(axis=1) == N - k
-    return np.where(matmul(field, G, H.transpose(0, 2, 1)).any(axis=(1, 2)), 1,
-                    np.where(full, 0, 2))
-
-
 def _unextended(field: Field, G: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B,) where extending the one-tail code by w does not give G's code; a
     stack of the wrong shape fails whole.  Trusting family_generators that G's
@@ -196,7 +181,7 @@ def _first_faults(job: SearchJob, block: tuple[tuple[int, ...], ...],
         if flags:
             H = family_parity_checks(f, block, k, deltas)
         if "parity" in flags:
-            flags["parity"][:, ki] = _parity_faults(f, G, H).reshape(S, -1)
+            flags["parity"][:, ki] = parity_faults(f, G, H).reshape(S, -1)
         if "extend" in flags:       # H's last row is (w, -1)
             flags["extend"][:, ki] = _unextended(f, G, H[:, -1, :-1]).reshape(S, -1)
         if live.intersection(CRITERION_SUITES):

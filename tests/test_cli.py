@@ -246,6 +246,17 @@ def test_blocks_match_evaluate_config_on_drawn_jobs(job, block):
     assert records_to_json(got) == records_to_json(reference_records(job))
 
 
+def test_blocks_build_no_code(monkeypatch):
+    """A search reads stacks only: no LinearCode, and so no dual code, is
+    built in any of the three Schur regimes (k = 3, 4, 5 at n = 5)."""
+    def refuse(*args):
+        raise AssertionError("search built a LinearCode")
+    monkeypatch.setattr(search.codes.LinearCode, "__init__", refuse)
+    job = SearchJob(Field.from_order(9), 5, (3, 4, 5), deltas=(0, 1), sample=20)
+    assert {r.grs.method for r in run_search(job)} == {
+        "SquareDimension", "DualSquareDistance", "NotApplicable"}
+
+
 def json_reference(records: list) -> str:
     """What records_to_json must return: one json.dumps of every to_json."""
     return json.dumps([r.to_json() for r in records], indent=2) + "\n"
@@ -596,6 +607,17 @@ def test_schur_text_and_json(capsys):
     code, out, _ = run_cli(capsys, [
         "schur", "--field", "gf(7)", "--matrix", "1,1,1,1;0,1,2,3"])
     assert out == "method: NotApplicable\nevidence: none\nverdict: Inconclusive\n"
+
+
+def test_schur_refuses_a_dual_square_past_the_cap(capsys):
+    """The [22, 16] member's dual has a square of dimension 12, whose
+    distance would take past ENUMERATION_CAP by either method."""
+    code, out, err = run_cli(capsys, [
+        "schur", "--field", "gf(32)", "--points", ",".join(map(str, range(20))),
+        "--k", "16", "--delta", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: rank scan of a [22,12] code over GF(32) would take "
+                   "about 3.3e+09 table lookups, which exceeds the cap of 2^31\n")
 
 
 # ---------------------------------------------------------------------------

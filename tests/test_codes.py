@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdslab import linalg
+from mdslab import linalg, search
 from mdslab.gf import Field
 from mdslab.linalg import Matrix, power_matrix, rref
 from mdslab.codes import (
@@ -20,29 +21,42 @@ from mdslab.codes import (
     BadDimensionError,
     Classification,
     CONSISTENT_WITH_GRS,
+    DUAL_SQUARE_DISTANCE,
+    GrsReport,
     INCONCLUSIVE,
     LengthMismatchError,
     LinearCode,
     MDS,
     NMDS,
     NON_GRS,
+    NOT_APPLICABLE,
     RankDeficientError,
+    SQUARE_DIMENSION,
     TooLargeToEnumerateError,
     ZeroExtensionVectorError,
     ZeroScaleError,
     _min_weight,
     _oracle_plan,
     _projective_min_weight,
-    _rank_scan_min_weight,
+    _rank_scan,
     classify,
     codes_equal,
     extend_code,
     grs_code,
+    grs_consistency_reports,
     grs_consistency_test,
+    schur_method,
     schur_product,
     schur_square,
 )
-from mdslab.construction import EvalConfig, family_code
+from mdslab.construction import (
+    EvalConfig,
+    family_code,
+    family_generators,
+    family_parity_checks,
+)
+from mdslab.search import SearchJob
+from test_cli import search_jobs
 
 GF4 = Field.from_order(4)
 GF7 = Field.from_order(7)
@@ -147,7 +161,7 @@ def test_both_distance_methods_match_naive_oracle():
             except RankDeficientError:
                 continue
             d = naive_min_distance(code)
-            assert _rank_scan_min_weight(f, code.generator.a) == d
+            assert _rank_scan(f, code.generator.a.T[None], k, k).tolist() == [d]
             assert _projective_min_weight(f, code.generator.a) == d
 
 
@@ -175,6 +189,30 @@ def test_stacked_min_weight_matches_naive_oracle(q, k, redundancy, entries, seed
     d, dual_d = _min_weight(f, np.array(stack, dtype=np.int16))
     assert d.tolist() == [naive_min_distance(c) for c in codes]
     assert dual_d.tolist() == [naive_min_distance(c.dual) for c in codes]
+
+
+def spanning_set(basis: list[list[int]], size: int = 7) -> np.ndarray:
+    """GF(7) rows spanning the row space of basis: its rows, their sum, then
+    zero rows up to size."""
+    rows = np.array(basis, dtype=np.int16)
+    total = functools.reduce(lambda a, b: GF7.add_table[a, b], rows)
+    pad = np.zeros((size - len(rows) - 1, rows.shape[1]), dtype=np.int16)
+    return np.vstack([rows, total, pad])
+
+
+def test_rank_scan_of_a_mixed_stack():
+    """One _rank_scan call, over spanning sets of codes of different
+    dimensions, gives each code's distance, as projective enumeration of a
+    basis does: an MDS [5, 3] code, a [5, 3] code with a weight-1 word, and
+    the whole space GF(7)^5, of rank N."""
+    bases = [grs_code(GF7, range(5), [1] * 5, 3).generator.a.tolist(),
+             [[1, 0, 0, 0, 0], [0, 1, 1, 1, 1], [0, 1, 2, 3, 4]],
+             np.eye(5, dtype=int).tolist()]
+    stack = np.stack([spanning_set(basis) for basis in bases])
+    d = _rank_scan(GF7, stack.transpose(0, 2, 1), np.array([3, 3, 5]), 3)
+    assert d.tolist() == [3, 1, 1]
+    assert d.tolist() == [_projective_min_weight(GF7, np.array(basis, dtype=np.int16))
+                          for basis in bases]
 
 
 def test_min_distance_cap():
@@ -399,6 +437,76 @@ def test_grs_consistency_gates():
     assert rep.method == "DualSquareDistance"
     assert rep.verdict == CONSISTENT_WITH_GRS
     assert rep.evidence >= 2
+
+
+def reference_screen(code: LinearCode) -> GrsReport:
+    """The Schur screen of one code from LinearCode's own square: the
+    dimension of the code's square, or the distance of its dual's."""
+    method = schur_method(code.length, code.dimension)
+    if method == SQUARE_DIMENSION:
+        dim2 = schur_square(code).dimension
+        verdict = CONSISTENT_WITH_GRS if dim2 == 2 * code.dimension - 1 else NON_GRS
+        return GrsReport(verdict, method, dim2)
+    if method == DUAL_SQUARE_DISTANCE:
+        d2 = schur_square(code.dual).min_distance
+        return GrsReport(NON_GRS if d2 < 2 else CONSISTENT_WITH_GRS, method, d2)
+    return GrsReport(INCONCLUSIVE, method, None)
+
+
+def test_stacked_screen_matches_reference_on_family_blocks():
+    """grs_consistency_reports of each (block, k) stack search builds, with
+    the stack's closed-form parity checks as H, equals the reference screen
+    of every config's code, in all three regimes."""
+    regimes = set()
+
+    @settings(max_examples=20)
+    @given(job=search_jobs())
+    @example(job=SearchJob(Field.from_order(9), 5, (3, 4, 5), sample=3))
+    def check(job):
+        f, deltas = job.field, job.delta_list()
+        for block in search._blocks(job):
+            for k in job.k_values:
+                G = family_generators(f, block, k, deltas)
+                H = family_parity_checks(f, block, k, deltas)
+                want = [reference_screen(family_code(EvalConfig.ones(f, pts, k, delta)))
+                        for pts in block for delta in deltas]
+                assert grs_consistency_reports(f, G, H) == want
+                regimes.add(want[0].method)
+    check()
+    assert regimes == {SQUARE_DIMENSION, DUAL_SQUARE_DISTANCE, NOT_APPLICABLE}
+
+
+def test_stacked_screen_matches_reference_on_random_codes():
+    """The dual-square screen of stacks of random full-rank codes over
+    gf(2) to gf(5), H each code's dual basis, equals the reference screen,
+    as grs_consistency_test of each code does; some of the squares take the
+    projective branch, some the rank scan."""
+    methods = set()
+
+    @settings(max_examples=30)
+    @given(q=st.sampled_from((2, 3, 4, 5)), redundancy=st.integers(3, 4),
+           extra=st.integers(1, 3), entries=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def check(q, redundancy, extra, entries, seed):
+        f = Field.from_order(q)
+        rng = np.random.default_rng(seed)
+        N = 2 * redundancy + extra
+        drawn = []
+        while len(drawn) < entries:
+            try:
+                drawn.append(LinearCode(Matrix(f, rng.integers(0, q, (N - redundancy, N)))))
+            except RankDeficientError:
+                continue
+        assert schur_method(N, N - redundancy) == DUAL_SQUARE_DISTANCE
+        G = np.stack([c.generator.a for c in drawn])
+        H = np.stack([c.dual.generator.a for c in drawn])
+        want = [reference_screen(c) for c in drawn]
+        assert grs_consistency_reports(f, G, H) == want
+        assert [grs_consistency_test(c) for c in drawn] == want
+        methods.update(_oracle_plan(q, N, schur_square(c.dual).dimension)[0]
+                       for c in drawn)
+    check()
+    assert methods == {RANK_SCAN, PROJECTIVE_ENUMERATION}
 
 
 def test_grs_json_shape():

@@ -332,6 +332,40 @@ def test_broken_parity_check_is_a_counterexample(capsys, monkeypatch, wrong,
         "parity", False, checked, {"config": config, "reason": reason}).to_json()]
 
 
+# a gf(5) config whose Schur screen squares the dual: n = 5, k = 4, N - k = 3
+UNPROVEN = EvalConfig.ones(Field.from_order(5), (0, 1, 2, 3, 4), 4, 2)
+UNPROVEN_STACK_START = dataclasses.replace(UNPROVEN, delta=0)
+
+
+def widened(build):
+    """The batched H builder, but one zero column too many on every stack."""
+    def faulty(field, nodes, k, deltas):
+        H = build(field, nodes, k, deltas)
+        return np.concatenate([H, np.zeros_like(H[..., :1])], axis=-1)
+    return faulty
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("wrong, reason, config", [
+    (lambda build: at_configs(build, {UNPROVEN: first_row_changed}),
+     "G.H^T != 0", UNPROVEN),
+    # a stack of the wrong shape fails as a whole, at its first config
+    (widened, "bad shape", UNPROVEN_STACK_START),
+], ids=["first-row-changed", "one-column-wide"])
+def test_search_refuses_an_unproven_parity_check(capsys, monkeypatch, wrong,
+                                                 reason, config, jobs):
+    """Search squares the dual from family_parity_checks only once they are
+    proven: a faulty one is a disagreement, never a silent fallback."""
+    monkeypatch.setattr(search, "family_parity_checks",
+                        wrong(search.family_parity_checks))
+    code = main(["search", "--field", "gf(5)", "--n", "5", "--k", "3-5",
+                 "--format", "json", "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: criterion/brute-force disagreement (parity check "
+                   f"fails: {reason}) on config {json.dumps(config.to_json())}\n")
+
+
 def test_refused_extension_vector_is_a_counterexample(capsys, monkeypatch):
     # the zero vector, which extend_code refuses
     monkeypatch.setattr(verify, "_unextended", extensions_at({CHOSEN: np.zeros_like}))
