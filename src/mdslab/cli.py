@@ -18,6 +18,7 @@ from .gf import Field, FieldError, parse_field
 from .linalg import Matrix
 from .codes import LinearCode, classify, grs_code, grs_consistency_test
 from .construction import (
+    CRITERIA,
     EvalConfig,
     criteria,
     family_code,
@@ -107,8 +108,8 @@ def _code_from_args(args) -> tuple[LinearCode, EvalConfig | None]:
     return family_code(cfg), cfg
 
 
-def _report_line(name: str, rep) -> str:
-    line = f"{name}: {'holds' if rep.holds else 'fails'}"
+def _report_line(rep) -> str:
+    line = f"{rep.criterion}: {'holds' if rep.holds else 'fails'}"
     if rep.witness is not None:
         line += " witness=" + rep.clause + ":" + "+".join(map(str, rep.witness))
     return line
@@ -205,8 +206,7 @@ def cmd_classify(args) -> int:
                   "singleton_defect", "dual_defect", "class")]
         if crit is not None:
             lines.append(f"criteria_class: {payload['criteria_class']}")
-            lines += [_report_line(name, rep)
-                      for name, rep in crit._asdict().items()]
+            lines += [_report_line(crit.report(name)) for name in CRITERIA]
         _emit("\n".join(lines), args)
     return 0
 

@@ -14,14 +14,14 @@ The criteria run as one vectorized pass per config.  The size-t subset sums
 and delta quantities of a node set are int16 arrays in lex order, built by
 table lookups over an index array of combinations (the delta quantities by
 linalg.symmetric_sums over its rows) and kept in two bounded caches (1024
-node-set entries each).  A "faces" table lists, for each size-t
-subset, the lex ranks of its size-(t-1) subsets, so a universal clause is one
-.all(axis=1) over it.  One scan yields every clause's first witness, and
-criteria(cfg) turns it into the Criteria record of all four reports, which
-is what search, classify and verify use.  The single-verdict entry points
-and criteria_class read the same scan and build only what they return.  The
-index and faces tables depend only on (n, t) and sit in their own small
-caches.
+node-set entries each).  A "faces" table lists, for each size-k subset, the
+lex ranks of its size-(k-1) subsets, so the universal clause U2 is one
+.all(axis=1) over it.  The scan's result is the Criteria record: the first
+witness of each clause, from which its four reports, the class they imply
+and their checks against the distance oracle are read.  criteria(cfg), the
+single-verdict entry points and criteria_class each read one scan; only
+the reports asked for are built.  The index and faces tables depend only on
+(n, t) and sit in their own small caches.
 """
 
 from __future__ import annotations
@@ -182,13 +182,6 @@ def weighted_power_sum(field: Field, alphas: Sequence[int], ell: int) -> int:
 # builders
 # ---------------------------------------------------------------------------
 
-def _scaled_power_rows(field: Field, alphas: Sequence[int], v: Sequence[int],
-                       exponents: Sequence[int]) -> np.ndarray:
-    P = power_matrix(field, alphas, exponents)
-    vrow = np.asarray(v, dtype=np.int16)
-    return field.mul_table[P.a, vrow[None, :]]
-
-
 def _with_tail(field: Field, block: np.ndarray, tail: Sequence[Sequence[int]]) -> LinearCode:
     t = np.asarray(tail, dtype=np.int16)
     return LinearCode(Matrix(field, np.hstack([block, t])))
@@ -200,11 +193,12 @@ def family_code(cfg: EvalConfig) -> LinearCode:
     Rows are v_i alpha_i^r for r = 0..k-2 and r = k (no degree k-1 row); the
     tails put a 1 under the degree-(k-2) row in the last column, and (1, delta)
     under the degree-k row.  Parameters are [n+2, k] for every valid config.
+    It is cfg's entry of family_generators, its node columns multiplied by v.
     """
-    f, k = cfg.field, cfg.k
-    block = _scaled_power_rows(f, cfg.alphas, cfg.v, list(range(k - 1)) + [k])
-    tail = [[0, 0]] * (k - 2) + [[0, 1], [1, cfg.delta]]
-    return _with_tail(f, block, tail)
+    f, n = cfg.field, cfg.n
+    G = family_generators(f, [cfg.alphas], cfg.k, [cfg.delta])[0]
+    G[:, :n] = f.mul_table[G[:, :n], list(cfg.v)]
+    return LinearCode(Matrix(f, G))
 
 
 def family_generators(field: Field, nodes: np.typing.ArrayLike, k: int,
@@ -236,9 +230,8 @@ def grs_two_column_code(field: Field, alphas: Sequence[int], k: int, delta: int)
     pts = require_distinct(alphas)
     if not (k >= 3 and len(pts) >= k + 1):
         raise BadDimensionError(f"need 4 <= k+1 <= n, got k={k}, n={len(pts)}")
-    block = _scaled_power_rows(field, pts, [1] * len(pts), range(k))
     tail = [[0, 0]] * (k - 2) + [[0, 1], [1, field.check(delta)]]
-    return _with_tail(field, block, tail)
+    return _with_tail(field, power_matrix(field, pts, range(k)).a, tail)
 
 
 def grs_three_column_code(field: Field, alphas: Sequence[int], k: int,
@@ -247,32 +240,29 @@ def grs_three_column_code(field: Field, alphas: Sequence[int], k: int,
     pts = require_distinct(alphas)
     if not (k >= 3 and len(pts) >= k + 1):
         raise BadDimensionError(f"need 4 <= k+1 <= n, got k={k}, n={len(pts)}")
-    block = _scaled_power_rows(field, pts, [1] * len(pts), range(k))
     tail = [[0, 0, 0]] * (k - 3) + [
         [0, 0, 1],
         [0, 1, field.check(tau)],
         [1, field.check(delta), field.check(pi)],
     ]
-    return _with_tail(field, block, tail)
+    return _with_tail(field, power_matrix(field, pts, range(k)).a, tail)
 
 
 def gapped_grs_code(field: Field, alphas: Sequence[int], k: int) -> LinearCode:
-    """Powers 0..k-2 and k, no tail columns; the bare degree-gapped code."""
-    pts = require_distinct(alphas)
-    if not 3 <= k <= len(pts):
-        raise BadDimensionError(f"need 3 <= k <= n, got k={k}, n={len(pts)}")
-    block = _scaled_power_rows(field, pts, [1] * len(pts), list(range(k - 1)) + [k])
-    return LinearCode(Matrix(field, block))
+    """Powers 0..k-2 and k, no tail columns; the bare degree-gapped code:
+    gapped_grs_one_column_code without its tail column."""
+    G = gapped_grs_one_column_code(field, alphas, k).generator.a
+    return LinearCode(Matrix(field, G[:, :-1]))
 
 
 def gapped_grs_one_column_code(field: Field, alphas: Sequence[int], k: int) -> LinearCode:
-    """Gapped code with a single indicator tail column under the top row."""
+    """Gapped code with a single indicator tail column under the top row: the
+    first n+1 columns of family_generators."""
     pts = require_distinct(alphas)
     if not 3 <= k <= len(pts):
         raise BadDimensionError(f"need 3 <= k <= n, got k={k}, n={len(pts)}")
-    block = _scaled_power_rows(field, pts, [1] * len(pts), list(range(k - 1)) + [k])
-    tail = [[0]] * (k - 1) + [[1]]
-    return _with_tail(field, block, tail)
+    G = family_generators(field, [pts], k, [0])[0]
+    return LinearCode(Matrix(field, G[:, :len(pts) + 1]))
 
 
 def family_parity_checks(field: Field, nodes: np.typing.ArrayLike, k: int,
@@ -358,7 +348,6 @@ class CriterionReport:
 
 ZERO_SUM_CLAUSE = "zero_sum_k"
 DELTA_CLAUSE = "delta_match_k_minus_1"
-U1_CLAUSE = "all_k_subsets_sum_zero"
 U2_CLAUSE = "all_k_minus_1_subsets_match_delta"
 
 
@@ -417,106 +406,104 @@ def _first_row(mask: np.ndarray, rows: np.ndarray) -> tuple[int, ...] | None:
 # the four classification criteria
 # ---------------------------------------------------------------------------
 
-class _Scan(NamedTuple):
-    """Lexicographically first witness of each subset-sum clause; None: none.
+CRITERIA = ("mds", "amds", "dual_amds", "nmds")    # report names, JSON order
+
+
+class Criteria(NamedTuple):
+    """One config's subset-sum scan: the lexicographically first witness of
+    each clause, None where there is none.  The four criterion reports, the
+    class their verdicts imply and the rule each verdict must satisfy on the
+    distance oracle's Classification are all read off these three fields.
 
     zero_sum: a size-k subset summing to 0 (E1).
     delta_match: a size-(k-1) subset whose e1^2 - e2 equals delta (E2).
-    u1_failure: a size-(k+1) subset all of whose size-k subsets sum to 0.
-      Distinct nodes never give one (S - a_i = 0 for every i would make
-      all a_i equal to S), but the clause is checked as stated.
-    u2_failure: a size-k subset all of whose size-(k-1) subsets match delta.
+    u2_failure: a size-k subset all of whose size-(k-1) subsets match delta,
+      failing U2 (every size-k subset has a size-(k-1) subset that does not).
+
+    The paper's amds and nmds conditions are U1 and U2 and (E1 or E2), where
+    U1 asks every size-(k+1) subset for a size-k subset of nonzero sum.
+    Distinct nodes never fail U1: if every size-k subset of a size-(k+1)
+    subset with sum S summed to 0, then S - a_i = 0 for each i, and all its
+    a_i would equal S.  So U1 is not scanned.
     """
 
     zero_sum: tuple[int, ...] | None
     delta_match: tuple[int, ...] | None
-    u1_failure: tuple[int, ...] | None
     u2_failure: tuple[int, ...] | None
 
-    def dual_amds(self) -> tuple[bool, tuple[int, ...] | None, str | None]:
-        """E1 or E2, with the first witness (zero-sum family first)."""
-        if self.zero_sum is not None:
-            return True, self.zero_sum, ZERO_SUM_CLAUSE
-        if self.delta_match is not None:
-            return True, self.delta_match, DELTA_CLAUSE
-        return False, None, None
-
-    def amds(self) -> tuple[bool, tuple[int, ...] | None, str | None]:
-        """U1 and U2 and (E1 or E2); a failed universal is reported first."""
-        if self.u1_failure is not None:
-            return False, self.u1_failure, U1_CLAUSE
-        if self.u2_failure is not None:
-            return False, self.u2_failure, U2_CLAUSE
-        return self.dual_amds()
+    def _verdicts(self) -> tuple[bool, bool, bool, bool]:
+        """The verdicts in CRITERIA order: mds is not (E1 or E2), dual_amds
+        is E1 or E2, and amds and nmds, whose conditions reduce to the same
+        clauses for this family, are U2 and (E1 or E2)."""
+        dual_amds = self.zero_sum is not None or self.delta_match is not None
+        amds = dual_amds and self.u2_failure is None
+        return not dual_amds, amds, dual_amds, amds
 
     def report(self, criterion: str) -> CriterionReport:
-        """The named criterion's report.  mds is the negation of dual_amds,
-        with the same witness; amds and nmds share their clauses."""
-        if criterion in ("amds", "nmds"):
-            return CriterionReport(criterion, *self.amds())
-        holds, witness, clause = self.dual_amds()
-        return CriterionReport(criterion, holds != (criterion == "mds"),
-                               witness, clause)
+        """The named criterion's report.  Its witness is the failed U2 for
+        amds and nmds where there is one, else the first satisfied E clause,
+        zero-sum family first."""
+        holds = self._verdicts()[CRITERIA.index(criterion)]
+        if self.u2_failure is not None and criterion in ("amds", "nmds"):
+            return CriterionReport(criterion, holds, self.u2_failure, U2_CLAUSE)
+        if self.zero_sum is not None:
+            return CriterionReport(criterion, holds, self.zero_sum, ZERO_SUM_CLAUSE)
+        if self.delta_match is not None:
+            return CriterionReport(criterion, holds, self.delta_match, DELTA_CLAUSE)
+        return CriterionReport(criterion, holds)
 
+    @property
+    def mds(self) -> CriterionReport:
+        return self.report("mds")
 
-def _scan(cfg: EvalConfig) -> _Scan:
-    """One vectorized pass over the subset tables of cfg's node set.
+    @property
+    def amds(self) -> CriterionReport:
+        return self.report("amds")
 
-    U1 (every size-(k+1) subset has a size-k subset with nonzero sum) fails
-    on a row of the faces table whose entries all index zero sums; U2 (every
-    size-k subset has a size-(k-1) subset not matching delta) likewise on
-    delta matches.  Universals over empty families (k+1 > n) hold vacuously,
-    and a universal cannot fail without a single zero sum or match.
-    """
-    f, pts, k, n = cfg.field, cfg.alphas, cfg.k, cfg.n
-    zero = _subset_sums(f, pts, k) == 0
-    match = _subset_delta_values(f, pts, k - 1) == cfg.delta
-    zero_sum = _first_row(zero, _combinations(n, k))
-    delta_match = _first_row(match, _combinations(n, k - 1))
-    u1 = u2 = None
-    if zero_sum is not None and k + 1 <= n:
-        u1 = _first_row(zero[_faces(n, k + 1)].all(axis=1),
-                        _combinations(n, k + 1))
-    if delta_match is not None:
-        u2 = _first_row(match[_faces(n, k)].all(axis=1), _combinations(n, k))
-    return _Scan(zero_sum, delta_match, u1, u2)
+    @property
+    def dual_amds(self) -> CriterionReport:
+        return self.report("dual_amds")
 
-
-class Criteria(NamedTuple):
-    """The four criterion reports of one config, from one scan.
-
-    The field names are the JSON keys.  The record also owns the class the
-    verdicts imply and the rule each verdict must satisfy on the distance
-    oracle's Classification.
-    """
-
-    mds: CriterionReport
-    amds: CriterionReport
-    dual_amds: CriterionReport
-    nmds: CriterionReport
+    @property
+    def nmds(self) -> CriterionReport:
+        return self.report("nmds")
 
     def to_json(self) -> dict:
-        return {name: rep.to_json() for name, rep in self._asdict().items()}
+        return {name: self.report(name).to_json() for name in CRITERIA}
 
     @property
     def kind(self) -> str:
         """The class label the verdicts imply."""
-        return class_label(self.mds.holds, self.amds.holds, self.dual_amds.holds)
+        return class_label(*self._verdicts()[:3])
 
     def checks(self, cls: Classification) -> Iterator[tuple[str, bool, bool]]:
         """(criterion, verdict, what the oracle's cls says it must be), in
-        field order: mds iff defect 0, amds iff defect 1, dual_amds iff the
-        dual has defect 1, nmds iff the class is NMDS."""
+        CRITERIA order: mds iff defect 0, amds iff defect 1, dual_amds iff
+        the dual has defect 1, nmds iff the class is NMDS."""
         truths = (cls.singleton_defect == 0, cls.singleton_defect == 1,
                   cls.dual_defect == 1, cls.kind == NMDS)
-        for name, rep, truth in zip(self._fields, self, truths):
-            yield name, rep.holds, truth
+        return zip(CRITERIA, self._verdicts(), truths)
+
+
+def _scan(cfg: EvalConfig) -> Criteria:
+    """One vectorized pass over the subset tables of cfg's node set.
+
+    U2 fails on a row of the faces table whose entries all index delta
+    matches; it cannot fail without a single match.
+    """
+    f, pts, k, n = cfg.field, cfg.alphas, cfg.k, cfg.n
+    match = _subset_delta_values(f, pts, k - 1) == cfg.delta
+    zero_sum = _first_row(_subset_sums(f, pts, k) == 0, _combinations(n, k))
+    delta_match = _first_row(match, _combinations(n, k - 1))
+    u2 = None
+    if delta_match is not None:
+        u2 = _first_row(match[_faces(n, k)].all(axis=1), _combinations(n, k))
+    return Criteria(zero_sum, delta_match, u2)
 
 
 def criteria(cfg: EvalConfig) -> Criteria:
-    """All four criterion reports of cfg from one scan."""
-    scan = _scan(cfg)
-    return Criteria(*map(scan.report, Criteria._fields))
+    """cfg's Criteria record, from one scan."""
+    return _scan(cfg)
 
 
 def mds_criterion(cfg: EvalConfig) -> CriterionReport:
@@ -536,7 +523,7 @@ def dual_amds_criterion(cfg: EvalConfig) -> CriterionReport:
 
 
 def amds_criterion(cfg: EvalConfig) -> CriterionReport:
-    """U1 and U2 and (E1 or E2); see _Scan.  The amds and nmds conditions
+    """U1 and U2 and (E1 or E2); see Criteria.  The amds and nmds conditions
     reduce to the same clauses for this family, so the two criteria coincide."""
     return _scan(cfg).report("amds")
 
@@ -554,9 +541,7 @@ def criteria_class(cfg: EvalConfig) -> str:
     classify(family_code(cfg)) computes from distances.  It runs one scan and
     builds no report.
     """
-    scan = _scan(cfg)
-    dual_amds = scan.dual_amds()[0]
-    return class_label(not dual_amds, scan.amds()[0], dual_amds)
+    return _scan(cfg).kind
 
 
 def non_grs_certificate(cfg: EvalConfig) -> GrsReport:

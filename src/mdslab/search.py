@@ -3,12 +3,14 @@
 A search walks (A, k, delta) triples in a fixed canonical order: node sets
 lexicographic by element index, then k ascending, then delta ascending.  Every
 visited config is classified twice, once by the distance oracle and once
-through one Criteria record (one subset-sum scan), and any verdict that breaks
-the record's rule aborts the whole run; a completed search doubles as an
-oracle cross-check over everything it visited.  A record serializes through
-the to_json of its parts: its fields, in declaration order, are its JSON
-keys, and records_to_json joins the text json.dumps(..., indent=2) gives
-each part, rendered once per distinct part into a bounded memo.
+through its Criteria record, the first witnesses of one subset-sum scan, and
+any verdict that breaks the record's rule aborts the whole run; a completed
+search doubles as an oracle cross-check over everything it visited.  The
+check reads the verdicts off the witnesses; criterion reports are built only
+to render output.  A record serializes through the to_json of its parts: its
+fields, in declaration order, are its JSON keys, and records_to_json joins
+the text json.dumps(..., indent=2) gives each part, rendered once per
+distinct part into a bounded memo.
 
 The walk runs in blocks of node sets, about BLOCK_CONFIGS configs each.  Each
 k of a block is one stack of generators, every node set times every delta,
@@ -41,6 +43,7 @@ import csv
 
 from . import codes
 from .gf import Field
+from .linalg import require_distinct
 from .codes import (
     AMDS_ONLY_DUAL,
     AMDS_ONLY_PRIMAL,
@@ -144,6 +147,9 @@ class SearchJob:
             for pts in self.subsets:
                 if len(pts) != self.n:
                     raise ValueError(f"node set {pts} does not have size {self.n}")
+            object.__setattr__(self, "subsets", tuple(
+                tuple(f.check(a) for a in pts) for pts in self.subsets))
+            require_distinct(self.subsets)
             if len(set(map(frozenset, self.subsets))) < len(self.subsets):
                 raise ValueError(f"repeated node set in {self.subsets}")
         if self.sample is not None and self.sample < 1:

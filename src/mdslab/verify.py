@@ -156,8 +156,9 @@ def check_det(fields: Sequence[Field] | None = None,
 
 def _unextended(field: Field, G: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B,) where extending the one-tail code by w does not give G's code; a
-    stack of the wrong shape fails whole.  Trusting family_generators that G's
-    first N-1 columns are the one-tail code, of rank k, it does iff w != 0, as
+    stack of the wrong shape fails whole.  G's first N-1 columns are the
+    one-tail code, of rank k, as gapped_grs_one_column_code is built from
+    family_generators' first N-1 columns, so it does iff w != 0, as
     extend_code requires, and G's last column is their product with w."""
     B, _, N = G.shape
     if w.shape != (B, N - 1):

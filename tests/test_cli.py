@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from mdslab.gf import Field
 from mdslab.cli import build_parser, main
-from mdslab import search
+from mdslab import construction, search, verify
 from mdslab.construction import EvalConfig
 from mdslab.search import (
     BudgetExceededError,
@@ -300,7 +300,7 @@ def test_mismatch_inside_a_block_replays_the_per_config_error(capsys, monkeypatc
     def wrong_at_bad(cfg):
         out = crit(cfg)
         if cfg == bad:
-            out = out._replace(mds=dataclasses.replace(out.mds, holds=not out.mds.holds))
+            out = out._replace(zero_sum=None, delta_match=None)    # mds holds
         return out
     monkeypatch.setattr(search, "criteria", wrong_at_bad)
     assert len(list(search._blocks(job))) > 2
@@ -328,6 +328,29 @@ def test_search_witness_column():
     assert rec.witness_string() == "zero_sum_k:0+1+3"
     assert rec.criteria.amds.clause == "all_k_minus_1_subsets_match_delta"
     assert rec.criteria.amds.witness == (0, 1, 3)
+
+
+def test_search_checks_build_no_report():
+    """run_search and verify's sweep read each verdict off the Criteria
+    witnesses; reports are built only when output renders them."""
+    report = construction.CriterionReport
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return report(*args)
+    job = SearchJob(GF7, 4, (3, 4))
+    search._member.cache_clear()
+    with mock.patch.object(construction, "CriterionReport", counted):
+        records = run_search(job)
+        assert len(records) == job.planned_count()
+        swept = verify.sweep((GF5,), 4, verify.CRITERION_SUITES)
+        assert all(result.passed for result in swept.values())
+        assert built == []
+        records_to_json(records)
+    assert built
+    assert construction.Criteria._fields == ("zero_sum", "delta_match",
+                                             "u2_failure")
 
 
 def test_evaluate_config_scans_once(scanned):
@@ -592,6 +615,18 @@ def test_classify_scans_once(capsys, scanned):
     assert len(scanned) == 1
 
 
+def test_classify_report_lines_golden(capsys):
+    """Text and JSON of classify at one (k, delta) per clause outcome: an E1
+    witness (NMDS), a U2 failure (AMDS_only_dual), an E2 witness (NMDS) and
+    none (MDS).  Each `$ mdslab ...` line of the data file is followed by
+    that command's stdout, recorded when Criteria still held four reports."""
+    runs = re.findall(r"^\$ mdslab (.*)\n((?:(?!\$ ).*\n)*)",
+                      (DATA / "classify_gf5_0123.txt").read_text(), re.M)
+    assert len(runs) == 8
+    for argv, want in runs:
+        assert run_cli(capsys, shlex.split(argv)) == (0, want, ""), argv
+
+
 def test_schur_text_and_json(capsys):
     code, out, _ = run_cli(capsys, [
         "schur", "--field", "gf(11)", "--points", "0,1,2,3,4,5,6",
@@ -748,6 +783,26 @@ def test_search_cli_refuses_repeated_inputs(capsys, repeat, message):
     code, out, err = run_cli(capsys, [
         "search", "--field", "gf(7)", "--n", "4", "--k", "3"] + repeat)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("pts, k", [
+    ((0, 1, 2, 3, 99), 3),      # past the field
+    ((0, 1, 2, 3, -1), 3),      # would index the tables' last row
+    ((0, 1, 1, 2, 3), 4),       # a repeated point, at a dual-square k
+])
+def test_search_job_refuses_bad_node_sets(monkeypatch, pts, k):
+    """A node set is refused when the job is built, before any stack."""
+    monkeypatch.setattr(search, "family_generators", None)
+    with pytest.raises(ValueError):
+        SearchJob(GF7, 5, (k,), deltas=(0,), subsets=(pts,))
+
+
+def test_search_cli_refuses_a_repeated_point(capsys):
+    code, out, err = run_cli(capsys, [
+        "search", "--field", "gf(7)", "--n", "5", "--points", "0,1,1,2,3",
+        "--k", "4", "--delta", "0"])
+    assert (code, out, err) == (
+        2, "", "error: evaluation points are not distinct: (0, 1, 1, 2, 3)\n")
 
 
 # ---------------------------------------------------------------------------

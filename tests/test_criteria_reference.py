@@ -119,7 +119,8 @@ def assert_matches_reference(cfg):
     assert got == want, cfg.to_json()
     assert criteria_class(cfg) == ref_class(want), cfg.to_json()
     record = criteria(cfg)
-    assert tuple(record) == want, cfg.to_json()
+    assert (record.mds, record.amds, record.dual_amds, record.nmds) == want, \
+        cfg.to_json()
     assert record.kind == ref_class(want), cfg.to_json()
     return want
 
