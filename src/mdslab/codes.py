@@ -363,7 +363,7 @@ def classify(code: LinearCode) -> Classification:
 
 def grs_code(field: Field, alphas: Sequence[int], v: Sequence[int], k: int) -> LinearCode:
     """Evaluation code of polynomials of degree < k, columns scaled by v."""
-    pts = require_distinct(alphas)
+    pts = require_distinct(field, alphas)
     n = len(pts)
     if len(v) != n:
         raise LengthMismatchError(f"{n} points but {len(v)} column multipliers")

@@ -10,18 +10,17 @@ Subset conventions: subsets are tuples of 0-based indices into the node list,
 enumerated in lexicographic order, so every witness is deterministic.  The
 quantity compared against delta for a subset S is (sum S)^2 - e2(S).
 
-The criteria run as one vectorized pass per config.  The size-t subset sums
-and delta quantities of a node set are int16 arrays in lex order, built by
-table lookups over an index array of combinations (the delta quantities by
-linalg.symmetric_sums over its rows) and kept in two bounded caches (1024
-node-set entries each).  A "faces" table lists, for each size-k subset, the
-lex ranks of its size-(k-1) subsets, so the universal clause U2 is one
-.all(axis=1) over it.  The scan's result is the Criteria record: the first
-witness of each clause, from which its four reports, the class they imply
-and their checks against the distance oracle are read.  criteria(cfg), the
-single-verdict entry points and criteria_class each read one scan; only
-the reports asked for are built.  The index and faces tables depend only on
-(n, t) and sit in their own small caches.
+The criteria run as one vectorized pass per (node set, k), subset_scan, over
+one delta or a vector of them.  The size-t subset sums and delta quantities
+of a node set are int16 arrays in lex order, built by table lookups over an
+index array of combinations and kept in two bounded caches (1024 node-set
+entries each).  E1 reads the sums alone, the deltas are the trailing axis of
+E2's match table, and a "faces" table lists, for each size-k subset, the lex
+ranks of its size-(k-1) subsets, so the universal clause U2 is one
+.all(axis=1) over it.  Each config's Criteria record holds its first witness
+of each clause; its reports, class and checks against the distance oracle
+are read off them by rules (verdicts, truths) that hold on arrays as well.
+The index and faces tables depend only on (n, t) and have small caches.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .codes import (
     GrsReport,
     LengthMismatchError,
     LinearCode,
-    NMDS,
     ZeroScaleError,
     class_label,
     grs_consistency_test,
@@ -76,10 +74,10 @@ class EvalConfig:
 
     def __post_init__(self):
         f = self.field
-        object.__setattr__(self, "alphas", tuple(f.check(a) for a in self.alphas))
+        object.__setattr__(self, "alphas",
+                           tuple(require_distinct(f, self.alphas).tolist()))
         object.__setattr__(self, "v", tuple(f.check(x) for x in self.v))
         object.__setattr__(self, "delta", f.check(self.delta))
-        require_distinct(self.alphas)
         if len(self.v) != len(self.alphas):
             raise LengthMismatchError(
                 f"v has {len(self.v)} entries for {len(self.alphas)} nodes")
@@ -150,7 +148,7 @@ class EvalConfig:
 
 def lagrange_weights(field: Field, alphas: Sequence[int]) -> tuple[int, ...]:
     """u_i = product over j != i of (alpha_i - alpha_j)^-1."""
-    pts = require_distinct(alphas)
+    pts = require_distinct(field, alphas)
     if len(pts) < 2:
         raise ValueError("need at least two points")
     diffs = field.sub_table[pts[:, None], pts]
@@ -164,7 +162,7 @@ def weighted_power_sum(field: Field, alphas: Sequence[int], ell: int) -> int:
     The weighted power sums telescope: 0 until ell = n-2, then 1, then the
     complete homogeneous sums h_1 = e1 and h_2 = e1^2 - e2.
     """
-    pts = require_distinct(alphas)
+    pts = require_distinct(field, alphas)
     n = len(pts)
     if n < 3:
         raise ValueError("need at least three points")
@@ -227,7 +225,7 @@ def family_generators(field: Field, nodes: np.typing.ArrayLike, k: int,
 
 def grs_two_column_code(field: Field, alphas: Sequence[int], k: int, delta: int) -> LinearCode:
     """Full power ladder 0..k-1 plus the two tail columns; needs n >= k+1 >= 4."""
-    pts = require_distinct(alphas)
+    pts = require_distinct(field, alphas)
     if not (k >= 3 and len(pts) >= k + 1):
         raise BadDimensionError(f"need 4 <= k+1 <= n, got k={k}, n={len(pts)}")
     tail = [[0, 0]] * (k - 2) + [[0, 1], [1, field.check(delta)]]
@@ -237,7 +235,7 @@ def grs_two_column_code(field: Field, alphas: Sequence[int], k: int, delta: int)
 def grs_three_column_code(field: Field, alphas: Sequence[int], k: int,
                           delta: int, tau: int, pi: int) -> LinearCode:
     """Full power ladder plus three tail columns carrying delta, tau, pi."""
-    pts = require_distinct(alphas)
+    pts = require_distinct(field, alphas)
     if not (k >= 3 and len(pts) >= k + 1):
         raise BadDimensionError(f"need 4 <= k+1 <= n, got k={k}, n={len(pts)}")
     tail = [[0, 0, 0]] * (k - 3) + [
@@ -258,7 +256,7 @@ def gapped_grs_code(field: Field, alphas: Sequence[int], k: int) -> LinearCode:
 def gapped_grs_one_column_code(field: Field, alphas: Sequence[int], k: int) -> LinearCode:
     """Gapped code with a single indicator tail column under the top row: the
     first n+1 columns of family_generators."""
-    pts = require_distinct(alphas)
+    pts = require_distinct(field, alphas)
     if not 3 <= k <= len(pts):
         raise BadDimensionError(f"need 3 <= k <= n, got k={k}, n={len(pts)}")
     G = family_generators(field, [pts], k, [0])[0]
@@ -396,10 +394,14 @@ def _subset_delta_values(field: Field, alphas: tuple[int, ...], t: int) -> np.nd
     return h2
 
 
-def _first_row(mask: np.ndarray, rows: np.ndarray) -> tuple[int, ...] | None:
-    """The first row of rows where mask is set, as a tuple; None if none is."""
-    i = int(mask.argmax())
-    return tuple(rows[i].tolist()) if mask[i] else None
+def _first_row(mask: np.ndarray, rows: np.ndarray):
+    """The first row of rows where mask is set along its first axis, as a
+    tuple, None if none is; for a 2-D mask, a list of one per column."""
+    i = mask.argmax(axis=0)
+    if mask.ndim == 1:
+        return tuple(rows[i].tolist()) if mask[i] else None
+    return [tuple(r) if hit else None
+            for r, hit in zip(rows[i].tolist(), mask.any(axis=0).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +409,23 @@ def _first_row(mask: np.ndarray, rows: np.ndarray) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 CRITERIA = ("mds", "amds", "dual_amds", "nmds")    # report names, JSON order
+
+
+def verdicts(e1, e2, u2_fails):
+    """The verdicts in CRITERIA order, on bools or bool arrays alike (^ True
+    is not): mds is not (E1 or E2), dual_amds is E1 or E2, and amds and nmds,
+    whose conditions reduce to the same clauses here, are U2 and (E1 or E2)."""
+    dual_amds = e1 | e2
+    amds = dual_amds & (u2_fails ^ True)
+    return dual_amds ^ True, amds, dual_amds, amds
+
+
+def truths(defect, dual_defect):
+    """What each verdict in CRITERIA order must equal on the Singleton defects
+    of code and dual, ints or int arrays alike: mds iff defect 0, amds iff
+    defect 1, dual_amds iff dual defect 1, nmds iff NMDS (both defects 1)."""
+    return (defect == 0, defect == 1, dual_defect == 1,
+            (defect == 1) & (dual_defect == 1))
 
 
 class Criteria(NamedTuple):
@@ -432,12 +451,8 @@ class Criteria(NamedTuple):
     u2_failure: tuple[int, ...] | None
 
     def _verdicts(self) -> tuple[bool, bool, bool, bool]:
-        """The verdicts in CRITERIA order: mds is not (E1 or E2), dual_amds
-        is E1 or E2, and amds and nmds, whose conditions reduce to the same
-        clauses for this family, are U2 and (E1 or E2)."""
-        dual_amds = self.zero_sum is not None or self.delta_match is not None
-        amds = dual_amds and self.u2_failure is None
-        return not dual_amds, amds, dual_amds, amds
+        return verdicts(self.zero_sum is not None, self.delta_match is not None,
+                        self.u2_failure is not None)
 
     def report(self, criterion: str) -> CriterionReport:
         """The named criterion's report.  Its witness is the failed U2 for
@@ -478,32 +493,35 @@ class Criteria(NamedTuple):
 
     def checks(self, cls: Classification) -> Iterator[tuple[str, bool, bool]]:
         """(criterion, verdict, what the oracle's cls says it must be), in
-        CRITERIA order: mds iff defect 0, amds iff defect 1, dual_amds iff
-        the dual has defect 1, nmds iff the class is NMDS."""
-        truths = (cls.singleton_defect == 0, cls.singleton_defect == 1,
-                  cls.dual_defect == 1, cls.kind == NMDS)
-        return zip(CRITERIA, self._verdicts(), truths)
+        CRITERIA order; see verdicts and truths."""
+        return zip(CRITERIA, self._verdicts(),
+                   truths(cls.singleton_defect, cls.dual_defect))
 
 
-def _scan(cfg: EvalConfig) -> Criteria:
-    """One vectorized pass over the subset tables of cfg's node set.
-
+def subset_scan(field: Field, alphas: tuple[int, ...], k: int,
+                delta: int | np.typing.ArrayLike) -> Criteria | list[Criteria]:
+    """The node set's Criteria record at k and a scalar delta, or the list of
+    one per entry of a (D,) vector of deltas, from one pass over its subset
+    tables.  E1 does not depend on delta and is scanned once; delta is the
+    trailing axis of the match table, so a scalar takes one config's ops.
     U2 fails on a row of the faces table whose entries all index delta
-    matches; it cannot fail without a single match.
-    """
-    f, pts, k, n = cfg.field, cfg.alphas, cfg.k, cfg.n
-    match = _subset_delta_values(f, pts, k - 1) == cfg.delta
-    zero_sum = _first_row(_subset_sums(f, pts, k) == 0, _combinations(n, k))
-    delta_match = _first_row(match, _combinations(n, k - 1))
-    u2 = None
-    if delta_match is not None:
+    matches; it cannot fail without a single match."""
+    n = len(alphas)
+    zero_sum = _first_row(_subset_sums(field, alphas, k) == 0, _combinations(n, k))
+    h2 = _subset_delta_values(field, alphas, k - 1)
+    # == on an int is one config's op, and cheaper than outer
+    match = h2 == delta if isinstance(delta, int) else np.equal.outer(h2, delta)
+    delta_match = u2 = _first_row(match, _combinations(n, k - 1))
+    if delta_match is not None:     # a list, for a vector of deltas
         u2 = _first_row(match[_faces(n, k)].all(axis=1), _combinations(n, k))
-    return Criteria(zero_sum, delta_match, u2)
+    if match.ndim == 1:
+        return Criteria(zero_sum, delta_match, u2)
+    return list(map(Criteria, itertools.repeat(zero_sum), delta_match, u2))
 
 
 def criteria(cfg: EvalConfig) -> Criteria:
     """cfg's Criteria record, from one scan."""
-    return _scan(cfg)
+    return subset_scan(cfg.field, cfg.alphas, cfg.k, cfg.delta)
 
 
 def mds_criterion(cfg: EvalConfig) -> CriterionReport:
@@ -512,25 +530,25 @@ def mds_criterion(cfg: EvalConfig) -> CriterionReport:
     Clause one is scanned before clause two; the witness of a failure is the
     lexicographically first violating subset of the violating clause.
     """
-    return _scan(cfg).report("mds")
+    return subset_scan(cfg.field, cfg.alphas, cfg.k, cfg.delta).report("mds")
 
 
 def dual_amds_criterion(cfg: EvalConfig) -> CriterionReport:
     """Dual is AMDS iff some size-k subset sums to 0 or some size-(k-1) subset
     matches delta; the witness is the first satisfying subset (zero-sum family
     scanned first)."""
-    return _scan(cfg).report("dual_amds")
+    return subset_scan(cfg.field, cfg.alphas, cfg.k, cfg.delta).report("dual_amds")
 
 
 def amds_criterion(cfg: EvalConfig) -> CriterionReport:
     """U1 and U2 and (E1 or E2); see Criteria.  The amds and nmds conditions
     reduce to the same clauses for this family, so the two criteria coincide."""
-    return _scan(cfg).report("amds")
+    return subset_scan(cfg.field, cfg.alphas, cfg.k, cfg.delta).report("amds")
 
 
 def nmds_criterion(cfg: EvalConfig) -> CriterionReport:
     """The same clauses as amds_criterion, reported under the name nmds."""
-    return _scan(cfg).report("nmds")
+    return subset_scan(cfg.field, cfg.alphas, cfg.k, cfg.delta).report("nmds")
 
 
 def criteria_class(cfg: EvalConfig) -> str:
@@ -541,7 +559,7 @@ def criteria_class(cfg: EvalConfig) -> str:
     classify(family_code(cfg)) computes from distances.  It runs one scan and
     builds no report.
     """
-    return _scan(cfg).kind
+    return subset_scan(cfg.field, cfg.alphas, cfg.k, cfg.delta).kind
 
 
 def non_grs_certificate(cfg: EvalConfig) -> GrsReport:

@@ -155,6 +155,7 @@ class Field:
         self.m = m
         self.q = q
         self.modulus = tuple(modulus)
+        self._hash = hash((p, m, self.modulus))    # a key of every subset cache
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -241,7 +242,7 @@ class Field:
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __reduce__(self):
         # rebuild from parameters instead of shipping the tables around

@@ -28,9 +28,12 @@ class DuplicatePointsError(ValueError):
     """Evaluation points are required to be pairwise distinct."""
 
 
-def require_distinct(points: np.typing.ArrayLike) -> np.ndarray:
-    """points as an intp array, each row along its last axis pairwise distinct."""
+def require_distinct(field: Field, points: np.typing.ArrayLike) -> np.ndarray:
+    """points as an intp array of field elements, each row's entries distinct."""
     pts = np.array(points, dtype=np.intp)
+    outside = pts.view(np.uintp) >= field.q     # negatives wrap past q
+    if np.count_nonzero(outside):
+        field.check(pts.flat[outside.argmax()])
     if np.count_nonzero(pts[..., :, None] == pts[..., None, :]) != pts.size:
         bad = next(r for r in pts.reshape(-1, pts.shape[-1]).tolist()
                    if len(set(r)) != len(r))
@@ -248,7 +251,7 @@ def symmetric_sums(field: Field, values: np.typing.ArrayLike) -> tuple[np.ndarra
 def _closed_form_factors(field: Field, points: np.typing.ArrayLike) -> tuple:
     """e1, h2 and the product over i < j of (a_j - a_i), for each row of
     (..., n) distinct points, n >= 3."""
-    pts = require_distinct(points)
+    pts = require_distinct(field, points)
     if pts.shape[-1] < 3:
         raise ValueError(f"need at least 3 points, got {pts.shape[-1]}")
     i, j = np.triu_indices(pts.shape[-1], 1)

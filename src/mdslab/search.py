@@ -16,9 +16,9 @@ The walk runs in blocks of node sets, about BLOCK_CONFIGS configs each.  Each
 k of a block is one stack of generators, every node set times every delta,
 built without reducing any matrix; the distance oracle gives the stack's
 (d, d-dual) in one call, and the Schur screen, which builds no dual code,
-its evidence in one more.  Criteria and the checks against them stay per
-config, in visit order, so a block reports the same first disagreement
-evaluate_config, the one-config path, would.
+its evidence in one more.  Each node set and k is one criteria scan over
+every delta; the checks against its records stay per config, in visit order,
+so a block reports the first disagreement evaluate_config would.
 Records matching the class filter are returned in visit order, so equal inputs
 give byte-identical output regardless of worker count: with --jobs, a pool
 evaluates whole blocks and their records are joined in block order.
@@ -67,6 +67,7 @@ from .construction import (
     family_generators,
     family_parity_checks,
     parity_faults,
+    subset_scan,
 )
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .construction import (  # noqa: F401
@@ -148,8 +149,7 @@ class SearchJob:
                 if len(pts) != self.n:
                     raise ValueError(f"node set {pts} does not have size {self.n}")
             object.__setattr__(self, "subsets", tuple(
-                tuple(f.check(a) for a in pts) for pts in self.subsets))
-            require_distinct(self.subsets)
+                map(tuple, require_distinct(f, self.subsets).tolist())))
             if len(set(map(frozenset, self.subsets))) < len(self.subsets):
                 raise ValueError(f"repeated node set in {self.subsets}")
         if self.sample is not None and self.sample < 1:
@@ -271,9 +271,8 @@ class SearchRecord:
 RECORD_KEYS = tuple(f.name for f in dataclasses.fields(SearchRecord))
 
 
-def _checked_criteria(cfg: EvalConfig, cls: Classification) -> Criteria:
-    """cfg's criteria, after checking each verdict against the oracle's cls."""
-    crit = criteria(cfg)
+def _checked(cfg: EvalConfig, cls: Classification, crit: Criteria) -> Criteria:
+    """cfg's criteria crit, after checking each verdict against the oracle's cls."""
     for name, predicted, actual in crit.checks(cls):
         if predicted != actual:
             raise SearchMismatchError(
@@ -285,7 +284,7 @@ def evaluate_config(cfg: EvalConfig) -> SearchRecord:
     """Classify one config both ways; raise on any disagreement."""
     code = family_code(cfg)     # classify and the Schur screen share code.dual
     cls = classify(code)
-    crit = _checked_criteria(cfg, cls)
+    crit = _checked(cfg, cls, criteria(cfg))
     return SearchRecord(cfg, cls, grs_consistency_test(code), crit)
 
 
@@ -334,11 +333,11 @@ def evaluate_block(job: SearchJob,
     for i, alphas in enumerate(block):
         for k in job.k_values:
             d, dual_d, screens = stacks[k]
-            for b, delta in enumerate(deltas, i * len(deltas)):
+            scan = subset_scan(f, alphas, k, deltas)
+            for b, delta, crit in zip(itertools.count(i * len(deltas)), deltas, scan):
                 cfg = EvalConfig.ones(f, alphas, k, delta)
                 cls = Classification.of_distances(N, k, d[b], dual_d[b])
-                crit = _checked_criteria(cfg, cls)
-                record = SearchRecord(cfg, cls, screens[b], crit)
+                record = SearchRecord(cfg, cls, screens[b], _checked(cfg, cls, crit))
                 if job.target is None or cls.kind == job.target:
                     records.append(record)
     return records

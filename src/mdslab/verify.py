@@ -8,8 +8,9 @@ orders 4, 5, 7 and size 5.
 The six per-config suites (parity, extend, mds, amds, dual-amds, nmds) are
 filters over one sweep on search's blocks: each k of a block is one generator
 stack that every suite reads (the oracle's d-dual from G's columns alone, not
-from the criteria or H), every requested suite stops counting at its own first
-counterexample, and the sweep ends when no suite is live.
+from the criteria or H), and one criteria scan per node set over all deltas,
+whose verdict arrays meet the oracle's defect arrays; each suite stops at its
+own first counterexample, and the sweep ends when no suite is live.
 """
 
 from __future__ import annotations
@@ -40,15 +41,18 @@ from .codes import (
     schur_square,
 )
 from .construction import (
+    CRITERIA,
     PARITY_FAULTS,
     EvalConfig,
-    criteria,
     family_code,
     family_generators,
     family_parity_checks,
     lagrange_weights,
     non_grs_certificate,
     parity_faults,
+    subset_scan,
+    truths,
+    verdicts,
     weighted_power_sum,
 )
 from .search import SearchJob, _blocks, point_sets
@@ -171,12 +175,15 @@ def _first_faults(job: SearchJob, block: tuple[tuple[int, ...], ...],
                   live: set[str]) -> dict[str, tuple[int, dict]]:
     """(position in visit order, counterexample) of the first config of the
     block that breaks each live suite it breaks.  Each k is one stack of
-    generators, every node set times every delta, that every suite reads."""
+    generators, every node set times every delta, that every suite reads,
+    and one criteria scan per node set over all the deltas."""
     f, deltas, N, S = job.field, job.delta_list(), job.n + 2, len(block)
     shape = (S, len(job.k_values), len(deltas))
     flags = {suite: np.zeros(shape, dtype=np.intp)
              for suite in live & {"parity", "extend"}}
     distances = np.zeros(shape + (2,), dtype=np.intp)
+    hits = np.zeros((3,) + shape, dtype=bool)     # E1, E2, U2 fails
+    scanned = live.intersection(CRITERION_SUITES)
     for ki, k in enumerate(job.k_values):
         G = family_generators(f, block, k, deltas)
         if flags:
@@ -185,10 +192,13 @@ def _first_faults(job: SearchJob, block: tuple[tuple[int, ...], ...],
             flags["parity"][:, ki] = parity_faults(f, G, H).reshape(S, -1)
         if "extend" in flags:       # H's last row is (w, -1)
             flags["extend"][:, ki] = _unextended(f, G, H[:, -1, :-1]).reshape(S, -1)
-        if live.intersection(CRITERION_SUITES):
+        if scanned:
             # looked up on the module, where the benchmark's tracer wraps it
             pair = np.stack(codes._min_weight(f, G), axis=-1)
             distances[:, ki] = pair.reshape(S, -1, 2)
+            for s, pts in enumerate(block):
+                for c, witnesses in enumerate(zip(*subset_scan(f, pts, k, deltas))):
+                    hits[c, s, ki] = [w is not None for w in witnesses]
     visits = list(itertools.product(block, job.k_values, deltas))
     faults = {}
     for suite, flag in flags.items():
@@ -198,21 +208,20 @@ def _first_faults(job: SearchJob, block: tuple[tuple[int, ...], ...],
             if suite == "parity":
                 found["reason"] = PARITY_FAULTS[flag.flat[first]]
             faults[suite] = first, found
-    pending = [suite for suite in CRITERION_SUITES if suite in live]
-    for position, (visit, (d, dual_d)) in enumerate(
-            zip(visits, distances.reshape(-1, 2).tolist())):
-        if not pending:
-            break
-        cfg = EvalConfig.ones(f, *visit)
-        cls = Classification.of_distances(N, cfg.k, d, dual_d)
-        for name, holds, truth in criteria(cfg).checks(cls):
-            suite = name.replace("_", "-")
-            if suite in pending and holds != truth:
-                pending.remove(suite)
-                faults[suite] = position, {
-                    "config": cfg.to_json(), "criterion_holds": holds,
-                    "class": cls.kind, "singleton_defect": cls.singleton_defect,
-                    "dual_defect": cls.dual_defect}
+    k = np.array(job.k_values)[:, None]
+    rules = zip(CRITERIA, verdicts(*hits), truths(N - k + 1 - distances[..., 0],
+                                                  k + 1 - distances[..., 1]))
+    for name, holds, truth in rules:
+        suite, wrong = name.replace("_", "-"), (holds != truth).ravel()
+        first = int(wrong.argmax())
+        if suite in scanned and wrong[first]:
+            cfg = EvalConfig.ones(f, *visits[first])
+            cls = Classification.of_distances(
+                N, cfg.k, *distances.reshape(-1, 2)[first].tolist())
+            faults[suite] = first, {
+                "config": cfg.to_json(), "criterion_holds": bool(holds.flat[first]),
+                "class": cls.kind, "singleton_defect": cls.singleton_defect,
+                "dual_defect": cls.dual_defect}
     return faults
 
 

@@ -4,10 +4,12 @@ with its outcome."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from mdslab import construction
+from mdslab import construction, search, verify
+from mdslab.construction import EvalConfig
 
 # derandomized, no example database and no deadline: every run draws the same
 # examples, and a slow shared machine cannot turn a pass into a failure
@@ -16,17 +18,22 @@ settings.register_profile("mdslab", derandomize=True, deadline=None,
 settings.load_profile("mdslab")
 
 
-
 @pytest.fixture
 def scanned(monkeypatch) -> list:
-    """Every config construction._scan is called on during the test, in order."""
+    """Every subset-sum scan made during the test, in order: a scan at one
+    scalar delta as its all-ones config, a scan over a vector of deltas as
+    (q, node set, k, deltas)."""
     log = []
-    scan = construction._scan
+    scan = construction.subset_scan
 
-    def logged(cfg):
-        log.append(cfg)
-        return scan(cfg)
-    monkeypatch.setattr(construction, "_scan", logged)
+    def logged(field, alphas, k, delta):
+        if np.ndim(delta) == 0:
+            log.append(EvalConfig.ones(field, alphas, k, delta))
+        else:
+            log.append((field.q, tuple(alphas), k, tuple(delta)))
+        return scan(field, alphas, k, delta)
+    for module in (construction, search, verify):
+        monkeypatch.setattr(module, "subset_scan", logged)
     return log
 
 

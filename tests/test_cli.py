@@ -295,14 +295,21 @@ def test_mismatch_inside_a_block_replays_the_per_config_error(capsys, monkeypatc
     second block, is reported as evaluate_config reports it."""
     job = SearchJob(Field.from_order(9), 5, (3, 4, 5))
     bad = next(itertools.islice(iter_configs(job), 1500, None))
-    crit = search.criteria
+    scan = construction.subset_scan
 
-    def wrong_at_bad(cfg):
-        out = crit(cfg)
-        if cfg == bad:
-            out = out._replace(zero_sum=None, delta_match=None)    # mds holds
+    def wrong_at_bad(field, alphas, k, delta):
+        """The scan, but mds holds at bad, alone or inside a delta vector."""
+        out = scan(field, alphas, k, delta)
+        if (field, alphas, k) != (bad.field, bad.alphas, bad.k):
+            return out
+        if isinstance(out, list):
+            b = list(delta).index(bad.delta)
+            out[b] = out[b]._replace(zero_sum=None, delta_match=None)
+        elif delta == bad.delta:
+            out = out._replace(zero_sum=None, delta_match=None)
         return out
-    monkeypatch.setattr(search, "criteria", wrong_at_bad)
+    for module in (construction, search):
+        monkeypatch.setattr(module, "subset_scan", wrong_at_bad)
     assert len(list(search._blocks(job))) > 2
     with pytest.raises(search.SearchMismatchError) as per_config:
         search.evaluate_config(bad)

@@ -12,7 +12,13 @@ import random
 import pytest
 
 from mdslab.gf import Field
-from mdslab.linalg import DuplicatePointsError, Matrix, power_matrix
+from mdslab.linalg import (
+    DuplicatePointsError,
+    Matrix,
+    power_matrix,
+    vandermonde_det_skip_penultimate,
+    vandermonde_det_skip_two,
+)
 from mdslab.codes import (
     AMDS_ONLY_DUAL,
     BadDimensionError,
@@ -26,6 +32,7 @@ from mdslab.codes import (
     classify,
     codes_equal,
     extend_code,
+    grs_code,
 )
 from mdslab.construction import (
     CriterionReport,
@@ -449,6 +456,28 @@ def test_eval_config_validation():
         EvalConfig.ones(GF7, (1, 2, 3), 4, 0)
     with pytest.raises(ValueError):
         EvalConfig.ones(GF4, (0, 1, 2), 3, 9)
+
+
+@pytest.mark.parametrize("outside", [-1, 7])
+@pytest.mark.parametrize("build", [
+    lambda pts: grs_code(GF7, pts, (1,) * 4, 3),
+    lambda pts: grs_two_column_code(GF7, pts, 3, 1),
+    lambda pts: grs_three_column_code(GF7, pts, 3, 1, 2, 3),
+    lambda pts: gapped_grs_code(GF7, pts, 3),
+    lambda pts: gapped_grs_one_column_code(GF7, pts, 3),
+    lambda pts: lagrange_weights(GF7, pts),
+    lambda pts: weighted_power_sum(GF7, pts, 2),
+    lambda pts: vandermonde_det_skip_penultimate(GF7, pts),
+    lambda pts: vandermonde_det_skip_two(GF7, pts),
+    lambda pts: EvalConfig.ones(GF7, pts, 3, 0),
+], ids=["grs", "grs-two-column", "grs-three-column", "gapped",
+        "gapped-one-column", "lagrange", "power-sum", "det-skip-penultimate",
+        "det-skip-two", "config"])
+def test_builders_refuse_points_outside_the_field(build, outside):
+    """-1 is not read as the last element, nor q past the tables' end."""
+    with pytest.raises(ValueError, match=f"^{outside} is not an element index "
+                                         "of gf\\(7\\)$"):
+        build((0, 1, 2, outside))
 
 
 def test_eval_config_json_round_trip():

@@ -5,17 +5,23 @@ clause rescans its subsets with itertools.combinations and scalar field
 arithmetic.  The library computes the same reports from one vectorized scan
 over cached subset tables; these tests require identical JSON reports,
 witnesses included, and check the criteria against the distance oracle on
-configs beyond the fixed sweeps.
+configs beyond the fixed sweeps.  A second reference, the vectorized scan of
+one config at a time the library ran before its scan took a vector of
+deltas, pins that scan's records for a scalar delta and inside a vector.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
+
+from mdslab import construction
 
 from mdslab.codes import AMDS_ONLY_DUAL, AMDS_ONLY_PRIMAL, MDS, NMDS, OTHER, classify
 from mdslab.construction import (
+    Criteria,
     CriterionReport,
     EvalConfig,
     amds_criterion,
@@ -25,6 +31,7 @@ from mdslab.construction import (
     family_code,
     mds_criterion,
     nmds_criterion,
+    subset_scan,
 )
 from mdslab.gf import Field
 from mdslab.search import iter_configs
@@ -179,3 +186,62 @@ def test_criteria_match_reference_in_large_fields(cfg):
 @given(configs(SMALL_ORDERS, 10))
 def test_criteria_class_matches_distance_oracle(cfg):
     assert criteria_class(cfg) == classify(family_code(cfg)).kind
+
+
+# ---------------------------------------------------------------------------
+# the per-config scan: one config's subset tables, one scalar delta
+# ---------------------------------------------------------------------------
+
+def first_row(mask, rows):
+    """The first row of rows where the 1-D mask is set, as a tuple; None if
+    none is."""
+    i = int(mask.argmax())
+    return tuple(rows[i].tolist()) if mask[i] else None
+
+
+def reference_scan(cfg):
+    """cfg's Criteria from one vectorized pass over the subset tables of its
+    node set at its one delta.  U2 fails on a row of the faces table whose
+    entries all index delta matches; it cannot fail without a single match."""
+    f, pts, k, n = cfg.field, cfg.alphas, cfg.k, cfg.n
+    match = construction._subset_delta_values(f, pts, k - 1) == cfg.delta
+    zero_sum = first_row(construction._subset_sums(f, pts, k) == 0,
+                         construction._combinations(n, k))
+    delta_match = first_row(match, construction._combinations(n, k - 1))
+    u2 = None
+    if delta_match is not None:
+        u2 = first_row(match[construction._faces(n, k)].all(axis=1),
+                       construction._combinations(n, k))
+    return Criteria(zero_sum, delta_match, u2)
+
+
+@st.composite
+def blocks(draw):
+    """(field, one to three node sets of one size, a vector of distinct
+    deltas in drawn order)."""
+    f = Field.from_order(draw(st.sampled_from((4, 5, 7, 8, 9, 11, 13))))
+    n = draw(st.integers(3, min(8, f.q)))
+    nodes = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n, unique=True)
+    block = draw(st.lists(nodes, min_size=1, max_size=3))
+    deltas = draw(st.lists(st.integers(0, f.q - 1), min_size=1, unique=True))
+    return f, [tuple(pts) for pts in block], deltas
+
+
+@settings(max_examples=60)
+@given(blocks())
+def test_block_scan_equals_per_config_reference(drawn):
+    """At every k of each node set, subset_scan gives the reference record
+    at a scalar delta, and each delta's inside a vector of one, of all the
+    field's deltas, and of drawn deltas; so does criteria(cfg)."""
+    f, block, deltas = drawn
+    every = tuple(f.elements())
+    for pts in block:
+        for k in range(3, len(pts) + 1):
+            want = {d: reference_scan(EvalConfig.ones(f, pts, k, d)) for d in every}
+            d = deltas[0]
+            scalar = subset_scan(f, pts, k, d)
+            assert isinstance(scalar, Criteria) and scalar == want[d]
+            assert criteria(EvalConfig.ones(f, pts, k, d)) == want[d]
+            assert subset_scan(f, pts, k, (d,)) == [want[d]]
+            assert subset_scan(f, pts, k, np.array(every)) == [want[d] for d in every]
+            assert subset_scan(f, pts, k, deltas) == [want[d] for d in deltas]

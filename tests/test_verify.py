@@ -1,7 +1,7 @@
 """The block sweep of verify: one generator stack per (block, k) that every
-suite reads, one criteria scan per config in visit order, each suite stopping
-at its own first counterexample; and the per-config sweep it replaced, kept
-here as the reference the block sweep must equal."""
+suite reads, one criteria scan per (node set, k) over every delta, each suite
+stopping at its own first counterexample; and the per-config sweep it
+replaced, kept here as the reference the block sweep must equal."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdslab import codes, search, verify
+from mdslab import construction, codes, search, verify
 from mdslab.cli import main
 from mdslab.codes import (
     AMDS_ONLY_PRIMAL,
@@ -33,7 +33,7 @@ from mdslab.construction import (
 )
 from mdslab.gf import Field
 from mdslab.linalg import Matrix, rref
-from mdslab.search import iter_configs
+from mdslab.search import SearchJob, iter_configs, run_search
 from mdslab.verify import (
     CRITERION_SUITES,
     SWEEP_SUITES,
@@ -67,9 +67,10 @@ def sweep_configs(fields, max_n):
 
 def reference_sweep(fields, max_n, suites, parity_check=parity_check_matrix,
                     extension=extension_vector,
-                    classification=lambda cfg: classify(family_code(cfg))):
+                    classification=lambda cfg: classify(family_code(cfg)),
+                    criteria_of=criteria):
     """verify.sweep's results for suites, in that order, from each config's
-    own code, parity-check matrix, extension and classification."""
+    own code, parity-check matrix, extension, classification and criteria."""
     live = dict.fromkeys(suites, 0)         # suite -> configs checked
     results = {}
     for cfg in sweep_configs(fields, max_n):
@@ -99,7 +100,7 @@ def reference_sweep(fields, max_n, suites, parity_check=parity_check_matrix,
                 found["extend"] = {"config": cfg.to_json()}
         if live.keys() & set(CRITERION_SUITES):
             cls = classification(cfg)
-            for name, holds, truth in criteria(cfg).checks(cls):
+            for name, holds, truth in criteria_of(cfg).checks(cls):
                 suite = name.replace("_", "-")
                 if suite in live and holds != truth:
                     found[suite] = {
@@ -178,6 +179,26 @@ def extensions_at(wrongs):
     return faulty
 
 
+def scans_at(wrongs):
+    """construction.subset_scan, but the record of each config cfg in wrongs,
+    at a scalar delta or inside a vector of them, replaced by
+    wrongs[cfg](record)."""
+    scan = construction.subset_scan
+
+    def faulty(field, alphas, k, delta):
+        out = scan(field, alphas, k, delta)
+        for cfg, wrong in wrongs.items():
+            if (field, tuple(alphas), k) != (cfg.field, cfg.alphas, cfg.k):
+                continue
+            if np.ndim(delta) == 0 and delta == cfg.delta:
+                out = wrong(out)
+            elif np.ndim(delta) and cfg.delta in list(delta):
+                b = list(delta).index(cfg.delta)
+                out[b] = wrong(out[b])
+        return out
+    return faulty
+
+
 def first_row_changed(entry):
     """CHOSEN's parity-check matrix with the tail entry of its first row
     changed: G.H^T != 0, while the last row, which holds w, is as it was."""
@@ -210,6 +231,14 @@ def block_stacks(fields, max_n) -> list:
     return [(job.field.q, block, k, job.delta_list())
             for job in sweep_jobs(fields, max_n)
             for block in search._blocks(job) for k in job.k_values]
+
+
+def block_scans(fields, max_n) -> list[list]:
+    """For each block of the sweep, in order, the (q, node set, k, deltas)
+    of each criteria scan verify makes on it: each k, then each node set."""
+    return [[(job.field.q, pts, k, job.delta_list())
+             for k in job.k_values for pts in block]
+            for job in sweep_jobs(fields, max_n) for block in search._blocks(job)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +287,9 @@ def test_four_suites_scan_each_config_once(scanned, stacks):
                                           "dual-amds", "amds"]
     assert all(r.passed for r in results)
     assert [r.checked for r in results if r.suite != "powersum"] == [SWEEP_COUNT] * 4
-    # one criteria scan per config, in visit order, on one stack per (block, k)
-    assert scanned == list(sweep_configs(FIELDS, MAX_N))
+    # one criteria scan per (node set, k) over every delta, in block order,
+    # on one stack per (block, k)
+    assert scanned == sum(block_scans(FIELDS, MAX_N), [])
     assert stacks == block_stacks(FIELDS, MAX_N)
 
 
@@ -418,10 +448,63 @@ def test_sweep_ends_when_every_suite_has_failed(monkeypatch, scanned, stacks):
     ]
     assert [r.counterexample["criterion_holds"] for r in results[2:]] == [
         True, False, False, False]
-    # the criteria scans stop at the config that broke the last live suite,
-    # and no stack is built past CHOSEN's block
-    assert len(scanned) == CHOSEN_POSITION
+    # no criteria scan and no stack is made past CHOSEN's block, the third
+    assert scanned == sum(block_scans(FIELDS, MAX_N)[:3], [])
+    assert (CHOSEN.field.q, CHOSEN.alphas, CHOSEN.k, tuple(CHOSEN.field.elements())) \
+        in block_scans(FIELDS, MAX_N)[2]
     assert stacks == block_stacks(FIELDS, MAX_N)[:4]
+
+
+def test_sweep_scans_each_node_set_once_per_k(scanned):
+    """verify and search make one criteria scan per (node set, k), over all
+    its deltas, not one per config."""
+    run_suites(CRITERION_SUITES, fields=FIELDS, max_n=MAX_N)
+    scans = sum(job.point_set_count() * len(job.k_values)
+                for job in sweep_jobs(FIELDS, MAX_N))
+    assert (len(scanned), scans) == (26, 26)
+    job = SearchJob(Field.from_order(7), 4, (3, 4))
+    run_search(job)
+    assert len(scanned) - 26 == job.point_set_count() * 2 < job.planned_count()
+
+
+# configs in the middle of the gf(5), n = 3 block and of their node set's
+# deltas: an MDS one, and an NMDS one two node sets on
+INSIDE_MDS = EvalConfig.ones(Field.from_order(5), (0, 1, 3), 3, 2)
+INSIDE_NMDS = EvalConfig.ones(Field.from_order(5), (0, 1, 4), 3, 3)
+
+
+@pytest.mark.parametrize("suite", CRITERION_SUITES)
+@pytest.mark.parametrize("cfg, position, wrong, broken", [
+    # an E1 witness: every verdict of an MDS config breaks its rule
+    (INSIDE_MDS, 32, lambda c: c._replace(zero_sum=(0, 1, 2)),
+     {"mds": (False, "MDS", 0, 0), "amds": (True, "MDS", 0, 0),
+      "dual-amds": (True, "MDS", 0, 0), "nmds": (True, "MDS", 0, 0)}),
+    # a U2 failure: amds and nmds no longer hold on an NMDS config
+    (INSIDE_NMDS, 38, lambda c: c._replace(u2_failure=(0, 1, 2)),
+     {"amds": (False, "NMDS", 1, 1), "nmds": (False, "NMDS", 1, 1)}),
+], ids=["E1-on-MDS", "U2-on-NMDS"])
+def test_wrong_verdict_inside_a_block_is_the_reference_counterexample(
+        monkeypatch, suite, cfg, position, wrong, broken):
+    """A wrong first witness at a fixed config inside a block, and inside its
+    node set's vector of deltas, fails the suites whose rule it breaks
+    there, with the counterexample the per-config reference reports."""
+    assert list(sweep_configs(FIELDS, MAX_N)).index(cfg) + 1 == position
+    assert position > BLOCK_START
+    want = reference_sweep(FIELDS, MAX_N, [suite], criteria_of=lambda c: (
+        wrong(criteria(c)) if c == cfg else criteria(c)))
+    monkeypatch.setattr(verify, "subset_scan", scans_at({cfg: wrong}))
+    got = run_suites([suite], fields=FIELDS, max_n=MAX_N)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    if suite not in broken:
+        assert got == [SuiteResult(suite, True, SWEEP_COUNT)]
+        return
+    holds, kind, defect, dual_defect = broken[suite]
+    assert got[0].to_json() == {
+        "suite": suite, "passed": False, "checked": position,
+        "counterexample": {"config": cfg.to_json(), "criterion_holds": holds,
+                           "class": kind, "singleton_defect": defect,
+                           "dual_defect": dual_defect},
+        "detail": ""}
 
 
 def test_classified_cache_is_bounded(monkeypatch):
