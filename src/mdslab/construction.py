@@ -106,7 +106,8 @@ class EvalConfig:
             return tuple(element(key, x) for x in values)
 
         def element(key: str, value) -> int:
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer, str, list, tuple)):
                 fail(key, f"expected a field element, got {value!r}")
             try:
                 return field.parse_element(value)

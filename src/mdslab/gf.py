@@ -307,6 +307,8 @@ class Field:
             raise ValueError(f"digit vector longer than degree {self.m}: {ds}")
         a = 0
         for i, d in enumerate(ds):
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ValueError(f"digit {d!r} is not an integer")
             d = int(d)
             if not 0 <= d < self.p:
                 raise ValueError(f"digit {d} out of range [0, {self.p})")

@@ -14,18 +14,19 @@ distinct part into a bounded memo.
 
 The walk runs in blocks of node sets, about BLOCK_CONFIGS configs each.  Each
 k of a block is one stack of generators, every node set times every delta,
-built without reducing any matrix; the distance oracle gives the stack's
-(d, d-dual) in one call, and the Schur screen, which builds no dual code,
-its evidence in one more.  Each node set and k is one criteria scan over
-every delta; the checks against its records stay per config, in visit order,
-so a block reports the first disagreement evaluate_config would.
-Records matching the class filter are returned in visit order, so equal inputs
-give byte-identical output regardless of worker count: with --jobs, a pool
-evaluates whole blocks and their records are joined in block order.
+built without reducing any matrix.  One stack check, check_stack, serves
+search and verify alike: one oracle call gives the stack's (d, d-dual), one
+scan per node set over every delta its Criteria records, and the two give
+the verdicts that break their rule.  The Schur screen builds no dual code.
+A block raises at its first broken entry in visit order, as evaluate_config
+would, and builds records only for configs that pass the class filter, in
+visit order, so equal inputs give byte-identical output regardless of worker
+count: with --jobs, a pool evaluates whole blocks, joined in block order.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import itertools
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from io import StringIO
 from typing import Iterable, Iterator
 
-import csv
+import numpy as np
 
 from . import codes
 from .gf import Field
@@ -68,6 +69,8 @@ from .construction import (
     family_parity_checks,
     parity_faults,
     subset_scan,
+    truths,
+    verdicts,
 )
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .construction import (  # noqa: F401
@@ -134,12 +137,16 @@ class SearchJob:
             raise ValueError(f"need 3 <= n <= q, got n={self.n}, q={f.q}")
         if not self.k_values:
             raise ValueError("no k values")
+        if len(set(self.k_values)) < len(self.k_values):
+            raise ValueError(f"repeated k in {self.k_values}")
         for k in self.k_values:
             if not 3 <= k <= self.n:
                 raise ValueError(f"k={k} outside [3, {self.n}]")
         if self.deltas is not None:
             object.__setattr__(self, "deltas",
                                tuple(f.check(d) for d in self.deltas))
+            if not self.deltas:
+                raise ValueError("no delta values")
             if len(set(self.deltas)) < len(self.deltas):
                 raise ValueError(f"repeated delta in {self.deltas}")
         if self.subsets is not None and self.sample is not None:
@@ -271,21 +278,31 @@ class SearchRecord:
 RECORD_KEYS = tuple(f.name for f in dataclasses.fields(SearchRecord))
 
 
-def _checked(cfg: EvalConfig, cls: Classification, crit: Criteria) -> Criteria:
-    """cfg's criteria crit, after checking each verdict against the oracle's cls."""
-    for name, predicted, actual in crit.checks(cls):
-        if predicted != actual:
-            raise SearchMismatchError(
-                cfg, f"{name} criterion says {predicted}, code says {actual}")
-    return crit
-
-
 def evaluate_config(cfg: EvalConfig) -> SearchRecord:
     """Classify one config both ways; raise on any disagreement."""
     code = family_code(cfg)     # classify and the Schur screen share code.dual
     cls = classify(code)
-    crit = _checked(cfg, cls, criteria(cfg))
+    crit = criteria(cfg)
+    for name, predicted, actual in crit.checks(cls):
+        if predicted != actual:
+            raise SearchMismatchError(
+                cfg, f"{name} criterion says {predicted}, code says {actual}")
     return SearchRecord(cfg, cls, grs_consistency_test(code), crit)
+
+
+def check_stack(job: SearchJob, block: tuple[tuple[int, ...], ...], k: int,
+                G: np.ndarray) -> tuple[list, list, list[Criteria], np.ndarray]:
+    """The job's stack G at k, every node set of the block times every delta,
+    checked: each entry's d and d-dual from one oracle call, its Criteria from
+    one scan per node set, and the (4, S*D) array of its verdicts, in CRITERIA
+    order, that break their rule (verdicts against truths)."""
+    # looked up on the module, where the benchmark's tracer wraps it
+    d, dual_d = codes._min_weight(job.field, G)
+    records = [c for alphas in block
+               for c in subset_scan(job.field, alphas, k, job.delta_list())]
+    hits = np.array([[w is not None for w in c] for c in records]).T
+    broken = np.array(verdicts(*hits)) != truths(job.n + 3 - k - d, k + 1 - dual_d)
+    return d.tolist(), dual_d.tolist(), records, broken
 
 
 def _blocks(job: SearchJob) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -306,18 +323,16 @@ def evaluate_block(job: SearchJob,
     Raises what evaluate_config would on the first of them, in that order,
     whose verdicts disagree; a shape past the oracle's cap is refused before
     any record, as the first config's code would be.  Each k is one stack of
-    generators, every node set times every delta: its (d, d-dual) come from
-    one call of the distance oracle, and its Schur screens from one batched
-    call, squaring duals from family_parity_checks proven by parity_faults; a
-    config they fail, or a misshapen stack's first, is a disagreement.
+    generators, every node set times every delta, checked by check_stack;
+    its Schur screens come from one batched call, squaring duals from
+    family_parity_checks proven by parity_faults; a config they fail, or a
+    misshapen stack's first, is a disagreement, raised as the k is reached.
     """
     f, deltas, N = job.field, job.delta_list(), job.n + 2
     stacks = {}
     for k in job.k_values:
         G = family_generators(f, block, k, deltas)
-        # looked up on the module at each call, as the benchmark's tracer
-        # (bench/tracing.py) wraps codes._min_weight there
-        d, dual_d = codes._min_weight(f, G)
+        *checked, broken = check_stack(job, block, k, G)
         H = None
         if schur_method(N, k) == DUAL_SQUARE_DISTANCE:
             H = family_parity_checks(f, block, k, deltas)
@@ -328,18 +343,20 @@ def evaluate_block(job: SearchJob,
                                       deltas[b % len(deltas)])
                 raise SearchMismatchError(
                     cfg, f"parity check fails: {PARITY_FAULTS[faults[b]]}")
-        stacks[k] = d.tolist(), dual_d.tolist(), grs_consistency_reports(f, G, H)
+        stacks[k] = zip(*checked, broken.T.tolist(), grs_consistency_reports(f, G, H))
     records = []
-    for i, alphas in enumerate(block):
+    for alphas in block:
         for k in job.k_values:
-            d, dual_d, screens = stacks[k]
-            scan = subset_scan(f, alphas, k, deltas)
-            for b, delta, crit in zip(itertools.count(i * len(deltas)), deltas, scan):
-                cfg = EvalConfig.ones(f, alphas, k, delta)
-                cls = Classification.of_distances(N, k, d[b], dual_d[b])
-                record = SearchRecord(cfg, cls, screens[b], _checked(cfg, cls, crit))
-                if job.target is None or cls.kind == job.target:
-                    records.append(record)
+            # zip(deltas, ...) takes the node set's entries of the stack
+            for delta, (d, dual_d, crit, broken, screen) in zip(deltas, stacks[k]):
+                cls = Classification.of_distances(N, k, d, dual_d)
+                if True in broken or job.target in (None, cls.kind):
+                    cfg = EvalConfig.ones(f, alphas, k, delta)
+                    if True in broken:
+                        name, holds, truth = list(crit.checks(cls))[broken.index(True)]
+                        raise SearchMismatchError(cfg, f"{name} criterion says "
+                                                  f"{holds}, code says {truth}")
+                    records.append(SearchRecord(cfg, cls, screen, crit))
     return records
 
 

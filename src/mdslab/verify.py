@@ -7,10 +7,10 @@ orders 4, 5, 7 and size 5.
 
 The six per-config suites (parity, extend, mds, amds, dual-amds, nmds) are
 filters over one sweep on search's blocks: each k of a block is one generator
-stack that every suite reads (the oracle's d-dual from G's columns alone, not
-from the criteria or H), and one criteria scan per node set over all deltas,
-whose verdict arrays meet the oracle's defect arrays; each suite stops at its
-own first counterexample, and the sweep ends when no suite is live.
+stack that every suite reads.  The criterion suites read search.check_stack's
+broken verdicts on it, the one stack check that serves search and verify (the
+oracle's d-dual from G's columns alone, not from the criteria or H); each
+suite stops at its own first counterexample; the sweep ends when none is live.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import codes
 from .gf import Field
 from .linalg import (
     det,
@@ -41,7 +40,6 @@ from .codes import (
     schur_square,
 )
 from .construction import (
-    CRITERIA,
     PARITY_FAULTS,
     EvalConfig,
     family_code,
@@ -50,12 +48,9 @@ from .construction import (
     lagrange_weights,
     non_grs_certificate,
     parity_faults,
-    subset_scan,
-    truths,
-    verdicts,
     weighted_power_sum,
 )
-from .search import SearchJob, _blocks, point_sets
+from .search import SearchJob, _blocks, check_stack, point_sets
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module and
 # clears the classified cache below; both leave with the library's telemetry
 from .construction import (  # noqa: F401
@@ -175,53 +170,40 @@ def _first_faults(job: SearchJob, block: tuple[tuple[int, ...], ...],
                   live: set[str]) -> dict[str, tuple[int, dict]]:
     """(position in visit order, counterexample) of the first config of the
     block that breaks each live suite it breaks.  Each k is one stack of
-    generators, every node set times every delta, that every suite reads,
-    and one criteria scan per node set over all the deltas."""
+    generators, every node set times every delta, that every suite reads;
+    the criterion suites read check_stack's verdicts on it."""
     f, deltas, N, S = job.field, job.delta_list(), job.n + 2, len(block)
     shape = (S, len(job.k_values), len(deltas))
-    flags = {suite: np.zeros(shape, dtype=np.intp)
-             for suite in live & {"parity", "extend"}}
-    distances = np.zeros(shape + (2,), dtype=np.intp)
-    hits = np.zeros((3,) + shape, dtype=bool)     # E1, E2, U2 fails
-    scanned = live.intersection(CRITERION_SUITES)
+    flags = np.zeros((len(SWEEP_SUITES),) + shape, dtype=np.intp)  # SWEEP_SUITES order
+    checked = {}            # k -> check_stack's d, d-dual and Criteria
     for ki, k in enumerate(job.k_values):
         G = family_generators(f, block, k, deltas)
-        if flags:
+        if live & {"parity", "extend"}:
             H = family_parity_checks(f, block, k, deltas)
-        if "parity" in flags:
-            flags["parity"][:, ki] = parity_faults(f, G, H).reshape(S, -1)
-        if "extend" in flags:       # H's last row is (w, -1)
-            flags["extend"][:, ki] = _unextended(f, G, H[:, -1, :-1]).reshape(S, -1)
-        if scanned:
-            # looked up on the module, where the benchmark's tracer wraps it
-            pair = np.stack(codes._min_weight(f, G), axis=-1)
-            distances[:, ki] = pair.reshape(S, -1, 2)
-            for s, pts in enumerate(block):
-                for c, witnesses in enumerate(zip(*subset_scan(f, pts, k, deltas))):
-                    hits[c, s, ki] = [w is not None for w in witnesses]
-    visits = list(itertools.product(block, job.k_values, deltas))
+        if "parity" in live:
+            flags[0, :, ki] = parity_faults(f, G, H).reshape(S, -1)
+        if "extend" in live:        # H's last row is (w, -1)
+            flags[1, :, ki] = _unextended(f, G, H[:, -1, :-1]).reshape(S, -1)
+        if live.intersection(CRITERION_SUITES):
+            *checked[k], broken = check_stack(job, block, k, G)
+            flags[2:, :, ki] = broken.reshape(len(CRITERION_SUITES), S, -1)
     faults = {}
-    for suite, flag in flags.items():
+    for suite, flag in zip(SWEEP_SUITES, flags):
         first = int(flag.argmax())
-        if flag.flat[first]:
-            found = {"config": EvalConfig.ones(f, *visits[first]).to_json()}
+        if suite in live and flag.flat[first]:
+            s, ki, i = np.unravel_index(first, shape)
+            cfg = EvalConfig.ones(f, block[s], job.k_values[ki], deltas[i])
+            found = {"config": cfg.to_json()}
             if suite == "parity":
                 found["reason"] = PARITY_FAULTS[flag.flat[first]]
+            elif suite in CRITERION_SUITES:
+                d, dual_d, crit = (x[s * len(deltas) + i] for x in checked[cfg.k])
+                cls = Classification.of_distances(N, cfg.k, d, dual_d)
+                found.update({
+                    "criterion_holds": crit.report(suite.replace("-", "_")).holds,
+                    "class": cls.kind, "singleton_defect": cls.singleton_defect,
+                    "dual_defect": cls.dual_defect})
             faults[suite] = first, found
-    k = np.array(job.k_values)[:, None]
-    rules = zip(CRITERIA, verdicts(*hits), truths(N - k + 1 - distances[..., 0],
-                                                  k + 1 - distances[..., 1]))
-    for name, holds, truth in rules:
-        suite, wrong = name.replace("_", "-"), (holds != truth).ravel()
-        first = int(wrong.argmax())
-        if suite in scanned and wrong[first]:
-            cfg = EvalConfig.ones(f, *visits[first])
-            cls = Classification.of_distances(
-                N, cfg.k, *distances.reshape(-1, 2)[first].tolist())
-            faults[suite] = first, {
-                "config": cfg.to_json(), "criterion_holds": bool(holds.flat[first]),
-                "class": cls.kind, "singleton_defect": cls.singleton_defect,
-                "dual_defect": cls.dual_defect}
     return faults
 
 

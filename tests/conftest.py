@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mdslab import construction, search, verify
+from mdslab import construction, search
 from mdslab.construction import EvalConfig
 
 # derandomized, no example database and no deadline: every run draws the same
@@ -32,7 +32,7 @@ def scanned(monkeypatch) -> list:
         else:
             log.append((field.q, tuple(alphas), k, tuple(delta)))
         return scan(field, alphas, k, delta)
-    for module in (construction, search, verify):
+    for module in (construction, search):
         monkeypatch.setattr(module, "subset_scan", logged)
     return log
 

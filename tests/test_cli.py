@@ -194,7 +194,7 @@ def test_search_filters_records_as_they_arrive(monkeypatch):
     monkeypatch.setattr(search, "SearchRecord", counted)
     monkeypatch.setattr(search, "BLOCK_CONFIGS", 5)     # a node set a block
     assert run_search(SearchJob(GF5, 4, (3,), target="Other")) == []
-    assert built == 25
+    assert built == 0
     assert peak <= 5
 
 
@@ -520,6 +520,15 @@ def test_construct_from_config_file(capsys, tmp_path):
     assert (code, out) == (0, "1,1,1,0,0;0,1,g,0,1;0,1,1,1,g\n")
 
 
+def test_config_file_with_a_non_integer_element_exits_2(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"field": "gf(9)", "A": [0, 1, 2, 3], "k": 3,
+                                "delta": 1.5}))
+    code, out, err = run_cli(capsys, ["classify", "--config", str(path)])
+    assert (code, out, err) == (
+        2, "", "error: config field 'delta': expected a field element, got 1.5\n")
+
+
 @pytest.mark.parametrize("bad, field", [
     ({"A": 5}, "'A'"),
     ({"A": "0,1,g"}, "'A'"),
@@ -802,6 +811,18 @@ def test_search_job_refuses_bad_node_sets(monkeypatch, pts, k):
     monkeypatch.setattr(search, "family_generators", None)
     with pytest.raises(ValueError):
         SearchJob(GF7, 5, (k,), deltas=(0,), subsets=(pts,))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # an empty delta vector made _blocks divide by zero
+    ({"deltas": ()}, "no delta values"),
+    # a repeated k visited every config twice
+    ({"k_values": (3, 3)}, r"repeated k in \(3, 3\)"),
+    ({"k_values": (3, 4, 3)}, r"repeated k in \(3, 4, 3\)"),
+])
+def test_search_job_refuses_empty_deltas_and_repeated_k(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SearchJob(**{"field": GF5, "n": 4, "k_values": (3,), **kwargs})
 
 
 def test_search_cli_refuses_a_repeated_point(capsys):

@@ -495,6 +495,23 @@ def test_eval_config_json_round_trip():
     assert again.to_json()["v"] == [2, 2, 1]
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("A", [0, 1, [1, 2.5], 3], "digit 2.5 is not an integer"),
+    ("A", [0, 1, [1, True], 3], "digit True is not an integer"),
+    ("delta", [0, 1.9], "digit 1.9 is not an integer"),
+    ("delta", 1.5, "expected a field element, got 1.5"),
+    ("delta", None, "expected a field element, got None"),
+    ("A", [0, 1, 2.0, 3], "expected a field element, got 2.0"),
+])
+def test_eval_config_json_refuses_non_integer_elements(key, value, message):
+    """Floats and bools, as elements or as digits, are refused, never
+    truncated (before, [1, 2.5] over gf(9) read as 7 and delta [0, 1.9] as 3)."""
+    obj = {"field": "gf(9)", "A": [0, 1, 2, 3], "k": 3, "delta": 0, key: value}
+    with pytest.raises(ValueError) as err:
+        EvalConfig.from_json(obj)
+    assert str(err.value) == f"config field {key!r}: {message}"
+
+
 def test_eval_config_json_errors_name_the_field():
     with pytest.raises(ValueError, match="'field'"):
         EvalConfig.from_json({"field": "gf(6)", "A": [0, 1, 2], "k": 3, "delta": 0})

@@ -285,6 +285,20 @@ def test_parse_and_format_round_trip():
         f.parse_element([2, 0, 0])
 
 
+@pytest.mark.parametrize("digits", [[1, 2.5], [1, True], [1.0, 2], [False], [1, "2"]])
+def test_digit_vectors_refuse_non_integer_digits(digits):
+    with pytest.raises(ValueError, match="^digit .* is not an integer$"):
+        Field.from_order(9).parse_element(digits)
+
+
+def test_digit_vectors_take_numpy_integers():
+    f = Field.from_order(9)
+    assert f.parse_element([1, 2]) == 7
+    assert f.parse_element(np.array([1, 2])) == 7
+    assert f.parse_element([np.int8(1), np.int64(2)]) == 7
+    assert f.from_coeffs(f.coeffs(5)) == 5
+
+
 def test_field_identity_semantics():
     a = Field.from_order(8)
     b = Field(2, 3)

@@ -6,6 +6,7 @@ replaced, kept here as the reference the block sweep must equal."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -41,6 +42,7 @@ from mdslab.verify import (
     run_suites,
     sweep_jobs,
 )
+from test_cli import search_jobs
 
 FIELDS = (Field.from_order(4), Field.from_order(5))
 MAX_N = 4
@@ -492,7 +494,7 @@ def test_wrong_verdict_inside_a_block_is_the_reference_counterexample(
     assert position > BLOCK_START
     want = reference_sweep(FIELDS, MAX_N, [suite], criteria_of=lambda c: (
         wrong(criteria(c)) if c == cfg else criteria(c)))
-    monkeypatch.setattr(verify, "subset_scan", scans_at({cfg: wrong}))
+    monkeypatch.setattr(search, "subset_scan", scans_at({cfg: wrong}))
     got = run_suites([suite], fields=FIELDS, max_n=MAX_N)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     if suite not in broken:
@@ -505,6 +507,59 @@ def test_wrong_verdict_inside_a_block_is_the_reference_counterexample(
                            "class": kind, "singleton_defect": defect,
                            "dual_defect": dual_defect},
         "detail": ""}
+
+
+def witness_flipped(crit: construction.Criteria, k: int) -> construction.Criteria:
+    """crit with "E1 or E2" negated, so mds and dual-amds both break their
+    rule: a zero-sum witness where there was none, else no witness at all."""
+    if crit.zero_sum is None and crit.delta_match is None:
+        return crit._replace(zero_sum=tuple(range(k)))
+    return crit._replace(zero_sum=None, delta_match=None, u2_failure=None)
+
+
+@settings(max_examples=20)
+@given(job=search_jobs(), data=st.data())
+def test_check_stack_equals_the_per_config_reference(job, data):
+    """check_stack on a drawn block, entry by entry, against each config's
+    own code and scan; then one wrong witness at a drawn config, which
+    search reports as evaluate_config does and verify as the reference."""
+    job = dataclasses.replace(job, jobs=1)
+    f, deltas = job.field, job.delta_list()
+    block = data.draw(st.sampled_from(list(search._blocks(job))))
+    for k in job.k_values:
+        G = construction.family_generators(f, block, k, deltas)
+        d, dual_d, crits, broken = search.check_stack(job, block, k, G)
+        assert broken.shape == (4, len(block) * len(deltas))
+        for b, (pts, delta) in enumerate(itertools.product(block, deltas)):
+            cfg = EvalConfig.ones(f, pts, k, delta)
+            cls = classify(family_code(cfg))
+            assert (d[b], dual_d[b]) == (cls.min_distance, cls.dual_min_distance)
+            assert crits[b] == criteria(cfg)
+            assert broken[:, b].tolist() == [
+                p != a for _, p, a in crits[b].checks(cls)]
+
+    bad = data.draw(st.sampled_from(list(iter_configs(job))))
+    wrong = {bad: lambda c: witness_flipped(c, bad.k)}
+    faulty = scans_at(wrong)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (construction, search):
+            mp.setattr(module, "subset_scan", faulty)
+        with pytest.raises(search.SearchMismatchError) as per_config:
+            search.evaluate_config(bad)
+        with pytest.raises(search.SearchMismatchError) as searched:
+            run_search(job)
+    assert str(searched.value) == str(per_config.value)
+    assert searched.value.config == bad
+
+    cfg = data.draw(st.sampled_from(list(sweep_configs(FIELDS, MAX_N))))
+    wrong = {cfg: lambda c: witness_flipped(c, cfg.k)}
+    want = reference_sweep(FIELDS, MAX_N, CRITERION_SUITES, criteria_of=lambda c: (
+        wrong[c](criteria(c)) if c in wrong else criteria(c)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "subset_scan", scans_at(wrong))
+        got = run_suites(CRITERION_SUITES, fields=FIELDS, max_n=MAX_N)
+    assert got == want
+    assert not got[0].passed and not got[2].passed
 
 
 def test_classified_cache_is_bounded(monkeypatch):
